@@ -8,7 +8,7 @@ relations, Yang-Baxter, commuting transfer matrices) at desk scale.
 from .baxterize import (AmplitudeSolution, ClassifyRow, TensorProductGraph,
                         amplitude_at, build_tp_graph, classify_pairs,
                         edge_ratio, solve_central)
-from .catalog import (FamilySpec, build_family, build_lie_twist_data,
+from .catalog import (FAMILIES, build_family, build_lie_twist_data,
                       build_minimal_A, build_su2k, build_tambara_yamagami,
                       catalog_rows)
 from .category import (CategoryData, FSymbolTable, FusionRules, ObjectLabel,

@@ -22,7 +22,7 @@ import numpy as np
 from .category import CategoryData, fusion_product, twist_edge_ratio
 from .errors import DomainError, PoleError
 from .ratfunc import RationalFunction
-from .report import fmt_float
+from .report import fmt_complex, fmt_float
 
 SOLVER_TOL = 1e-9
 
@@ -94,8 +94,6 @@ class AmplitudeSolution:
         return out
 
     def to_dict(self) -> dict:
-        def cpair(z):
-            return [fmt_float(z.real), fmt_float(z.imag)]
         return {
             "family": self.cat.name,
             "rho": self.cat.display(self.graph.rho),
@@ -104,11 +102,11 @@ class AmplitudeSolution:
             "reference": self.cat.display(self.reference),
             "channels": [
                 {"label": self.cat.display(ch),
-                 "num": [cpair(z) for z in self.funcs[ch].num],
-                 "den": [cpair(z) for z in self.funcs[ch].den]}
+                 "num": [fmt_complex(z) for z in self.funcs[ch].num],
+                 "den": [fmt_complex(z) for z in self.funcs[ch].den]}
                 for ch in self.channels
             ],
-            "poles": [cpair(z) for z in sorted(self.poles(), key=lambda z: (z.real, z.imag))],
+            "poles": [fmt_complex(z) for z in sorted(self.poles(), key=lambda z: (z.real, z.imag))],
             "cycles": [
                 {"vertices": [self.cat.display(v) for v in c.vertices],
                  "edge": [self.cat.display(c.closing_edge[0]), self.cat.display(c.closing_edge[1])],

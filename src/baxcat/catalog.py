@@ -4,6 +4,9 @@ Representable families (full F-symbol tables): su(2)_k, the minimal-model
 twist variant A_{k+1}, and the Z_M Tambara-Yamagami clock categories.
 Twist-only families (spins, signs and declared tensor-product adjacency,
 no fusion tensor): so(n)_k, sp(2m)_k, (G_2)_k.
+
+`FAMILIES` is the one registry of them: `build_family`, `catalog list` and the
+command-line family flags and their bounds are all read from it.
 """
 
 from __future__ import annotations
@@ -13,33 +16,33 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
 from .category import (CategoryData, FSymbolTable, FusionRules, ObjectLabel,
                        QuantumDims, TwistData)
-from .errors import CapabilityError, DomainError
+from .errors import DomainError
 from .sixj import su2_admissible, su2k_f_blocks
-
-FAMILIES = ("su2", "minimal", "ty", "so", "sp", "g2")
 
 
 @dataclass(frozen=True)
-class FamilySpec:
-    family: str
-    params: tuple      # sorted (name, value) pairs
+class Param:
+    """One integer family parameter: its `build_family` keyword, its
+    command-line flag and its least allowed value."""
 
-    @staticmethod
-    def make(family: str, **params) -> "FamilySpec":
-        if family not in FAMILIES:
-            raise DomainError(f"unknown family {family!r}; know {FAMILIES}")
-        return FamilySpec(family, tuple(sorted(params.items())))
+    kwarg: str
+    flag: str
+    minimum: int
 
-    def param(self, name) -> int:
-        for key, val in self.params:
-            if key == name:
-                return val
-        raise DomainError(f"family {self.family!r} needs parameter {name!r}")
+    def check(self, value) -> None:
+        if not isinstance(value, int) or value < self.minimum:
+            raise DomainError(f"parameter {self.kwarg} ({self.flag}) must be an "
+                              f"integer >= {self.minimum}, got {value!r}")
+
+
+LEVEL = Param("k", "--level", 1)
+TY_ORDER = Param("M", "--M", 2)
 
 
 def spin_display(A: int) -> str:
@@ -70,14 +73,9 @@ def _su2_nu(k: int) -> dict:
     return nu
 
 
-def _check_level(k):
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"level must be an integer >= 1, got {k!r}")
-
-
 def build_su2k(k: int) -> CategoryData:
     """su(2)_k: spins 0..k/2, truncated fusion, Delta_a = a(a+1)/(k+2)."""
-    _check_level(k)
+    LEVEL.check(k)
     labels = tuple(ObjectLabel(A, spin_display(A)) for A in range(k + 1))
     Delta = tuple(Fraction(A * (A + 2), 4 * (k + 2)) for A in range(k + 1))
     return CategoryData(
@@ -92,7 +90,7 @@ def build_su2k(k: int) -> CategoryData:
 
 def build_minimal_A(k: int) -> CategoryData:
     """A_{k+1}: same fusion/dims/F as su(2)_k, minimal-model spins, all nu=+1."""
-    _check_level(k)
+    LEVEL.check(k)
     labels = tuple(ObjectLabel(A, spin_display(A)) for A in range(k + 1))
     Delta = tuple(Fraction(A * A, 4) - Fraction(A * (A + 2), 4 * (k + 2))
                   for A in range(k + 1))
@@ -163,8 +161,7 @@ def build_tambara_yamagami(M: int) -> CategoryData:
     global phase that cancels in every relation.  The placeholder is flagged
     in the export notes.
     """
-    if not isinstance(M, int) or M < 2:
-        raise DomainError(f"TY parameter M must be an integer >= 2, got {M!r}")
+    TY_ORDER.check(M)
     X = M
     n = M + 1
     labels = tuple(ObjectLabel(a, str(a)) for a in range(M)) + (ObjectLabel(X, "X"),)
@@ -197,106 +194,100 @@ def build_tambara_yamagami(M: int) -> CategoryData:
 # twist-only Lie families
 
 
-def _lie_category(name, label_names, rho_idx, channels, casimirs, signs, denom,
-                  adjacency) -> CategoryData:
-    labels = tuple(ObjectLabel(i, s) for i, s in enumerate(label_names))
-    Delta = []
-    for i in range(len(label_names)):
-        if i in casimirs:
-            Delta.append(casimirs[i] / denom)
-        else:
-            Delta.append(None)       # not stated in the source tables
-    nu = {(ch, rho_idx, rho_idx): signs[ch] for ch in channels}
+@dataclass(frozen=True)
+class LieTable:
+    """Twist-only data of one Lie family, copied verbatim from its source table:
+    channels 0, 1, ... of rho x rho with their signs nu, `spins(**params)` giving
+    (name, Casimir per channel, denominator of Delta = C / denominator), and the
+    declared per-phi tensor-product `adjacency` in place of a fusion tensor."""
+
+    label_names: tuple
+    rho: int
+    signs: tuple
+    adjacency: dict
+    spins: Callable
+
+    def __call__(self, **params) -> CategoryData:
+        return build_lie_twist_data(self, **params)
+
+
+def build_lie_twist_data(table: LieTable, **params) -> CategoryData:
+    """so(n)_k, sp(2m)_k or (G_2)_k from its `LieTable`; parameters are
+    checked by `build_family`."""
+    name, casimirs, denom = table.spins(**params)
+    channels = tuple(range(len(casimirs)))
+    Delta = tuple(Fraction(casimirs[i]) / denom if i in channels else None
+                  for i in range(len(table.label_names)))
     notes = ()
-    if any(d is None for d in Delta):
+    if None in Delta:
         notes = ("spins outside the channel list are not declared by the "
                  "source tables",)
     return CategoryData(
         name=name,
-        labels=labels,
-        twists=TwistData(tuple(Delta), nu),
-        channels=tuple(channels),
-        rho_declared=rho_idx,
-        tp_adjacency=adjacency,
+        labels=tuple(ObjectLabel(i, s) for i, s in enumerate(table.label_names)),
+        twists=TwistData(Delta, {(ch, table.rho, table.rho): table.signs[ch]
+                                 for ch in channels}),
+        channels=channels,
+        rho_declared=table.rho,
+        tp_adjacency=dict(table.adjacency),
         notes=notes,
     )
 
 
-def build_lie_twist_data(spec: FamilySpec) -> CategoryData:
-    """so(n)_k, sp(2m)_k and (G_2)_k twist-only data, tables copied verbatim.
+# ---------------------------------------------------------------------------
+# the family registry
 
-    Channel order is 0, A (antisymmetric), S (symmetric); rho is the vector
-    object V (for G_2, V is itself a channel).  The tensor-product graphs are
-    the declared per-phi adjacency; no fusion tensor is carried.
-    """
-    k = spec.param("k")
-    _check_level(k)
-    if spec.family == "so":
-        n = spec.param("n")
-        if not isinstance(n, int) or n < 3:
-            raise DomainError(f"so(n) needs integer n >= 3, got {n!r}")
-        return _lie_category(
-            name=f"so{n}_k{k}",
-            label_names=("0", "A", "S", "V"),
-            rho_idx=3,
-            channels=(0, 1, 2),
-            casimirs={0: Fraction(0), 1: Fraction(n - 2), 2: Fraction(n)},
-            signs={0: 1, 1: -1, 2: 1},
-            denom=n + k - 2,
-            adjacency={1: ((0, 1), (1, 2)), 2: ((0, 2), (2, 1))},
-        )
-    if spec.family == "sp":
-        m = spec.param("m")
-        if not isinstance(m, int) or m < 2:
-            raise DomainError(f"sp(2m) needs integer m >= 2, got {m!r}")
-        return _lie_category(
-            name=f"sp{2 * m}_k{k}",
-            label_names=("0", "A", "S", "V"),
-            rho_idx=3,
-            channels=(0, 1, 2),
-            casimirs={0: Fraction(0), 1: Fraction(m), 2: Fraction(m + 1)},
-            signs={0: -1, 1: -1, 2: 1},
-            denom=m + k + 1,
-            adjacency={1: ((0, 1), (1, 2)), 2: ((0, 2), (2, 1))},
-        )
-    if spec.family == "g2":
-        return _lie_category(
-            name=f"g2_k{k}",
-            label_names=("0", "V", "A", "S"),
-            rho_idx=1,
-            channels=(0, 1, 2, 3),
-            casimirs={0: Fraction(0), 1: Fraction(2), 2: Fraction(4), 3: Fraction(14, 3)},
-            signs={0: 1, 1: -1, 2: -1, 3: 1},
-            denom=k + 4,
-            adjacency={2: ((0, 2), (2, 3), (3, 1))},
-        )
-    raise CapabilityError(f"{spec.family!r} is not a twist-only family")
+
+@dataclass(frozen=True)
+class Family:
+    """One built-in family: what `build_family`, `catalog list` and the
+    command line know of it."""
+
+    params: tuple           # Param per parameter, in `catalog list` order
+    build: Callable         # called with the parameters as keywords
+    objects: str            # `catalog list` description of the objects
+    representable: bool     # carries an F-symbol table
+
+
+_SO_SP_ADJACENCY = {1: ((0, 1), (1, 2)), 2: ((0, 2), (2, 1))}
+
+FAMILIES = {
+    "su2": Family((LEVEL,), build_su2k, "spins 0..k/2", True),
+    "minimal": Family((LEVEL,), build_minimal_A, "spins 0..k/2 (A_{k+1} twists)", True),
+    "ty": Family((TY_ORDER,), build_tambara_yamagami, "Z_M clock labels and X", True),
+    # channel order 0, A (antisymmetric), S (symmetric); rho is the vector V
+    "so": Family((Param("n", "--n", 3), LEVEL), LieTable(
+        ("0", "A", "S", "V"), 3, (1, -1, 1), _SO_SP_ADJACENCY,
+        lambda n, k: (f"so{n}_k{k}", (0, n - 2, n), n + k - 2)),
+        "channels 0, A, S of V x V", False),
+    "sp": Family((Param("m", "--m", 2), LEVEL), LieTable(
+        ("0", "A", "S", "V"), 3, (-1, -1, 1), _SO_SP_ADJACENCY,
+        lambda m, k: (f"sp{2 * m}_k{k}", (0, m, m + 1), m + k + 1)),
+        "channels 0, A, S of V x V", False),
+    # for G_2 the vector V is itself a channel
+    "g2": Family((LEVEL,), LieTable(
+        ("0", "V", "A", "S"), 1, (1, -1, -1, 1), {2: ((0, 2), (2, 3), (3, 1))},
+        lambda k: (f"g2_k{k}", (0, 2, 4, Fraction(14, 3)), k + 4)),
+        "channels 0, V, A, S of V x V", False),
+}
 
 
 def build_family(family: str, **params) -> CategoryData:
-    spec = FamilySpec.make(family, **params)
-    if family == "su2":
-        return build_su2k(spec.param("k"))
-    if family == "minimal":
-        return build_minimal_A(spec.param("k"))
-    if family == "ty":
-        return build_tambara_yamagami(spec.param("M"))
-    return build_lie_twist_data(spec)
+    """Build a registered family; an unknown keyword or a parameter that is
+    missing, None or below its minimum raises DomainError naming it."""
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise DomainError(f"unknown family {family!r}; know {tuple(FAMILIES)}")
+    unknown = sorted(set(params) - {p.kwarg for p in fam.params})
+    if unknown:
+        raise DomainError(f"family {family!r} takes no parameter {unknown[0]!r}")
+    for p in fam.params:
+        p.check(params.get(p.kwarg))
+    return fam.build(**params)
 
 
 def catalog_rows():
     """One descriptor per family for `catalog list`."""
-    return [
-        {"family": "su2", "params": "k>=1", "objects": "spins 0..k/2",
-         "baxterisable": True, "representable": True},
-        {"family": "minimal", "params": "k>=1", "objects": "spins 0..k/2 (A_{k+1} twists)",
-         "baxterisable": True, "representable": True},
-        {"family": "ty", "params": "M>=2", "objects": "Z_M clock labels and X",
-         "baxterisable": True, "representable": True},
-        {"family": "so", "params": "n>=3, k>=1", "objects": "channels 0, A, S of V x V",
-         "baxterisable": True, "representable": False},
-        {"family": "sp", "params": "m>=2, k>=1", "objects": "channels 0, A, S of V x V",
-         "baxterisable": True, "representable": False},
-        {"family": "g2", "params": "k>=1", "objects": "channels 0, V, A, S of V x V",
-         "baxterisable": True, "representable": False},
-    ]
+    return [{"family": name, "params": ", ".join(f"{p.kwarg}>={p.minimum}" for p in fam.params),
+             "objects": fam.objects, "baxterisable": True, "representable": fam.representable}
+            for name, fam in FAMILIES.items()]

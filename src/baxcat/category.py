@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AxiomError, CapabilityError, DomainError
-from .report import VerificationReport, fmt_float
+from .report import VerificationReport, fmt_complex, fmt_float
 
 DEFAULT_TOL = 1e-9
 
@@ -87,10 +87,9 @@ class TwistData:
 class FSymbolTable:
     """Sparse block storage for [F^{xyz}_w]_{uv}."""
 
-    def __init__(self, blocks, present=True):
+    def __init__(self, blocks):
         # blocks: {(x,y,z,w): (us tuple, vs tuple, complex matrix)}
         self.blocks = blocks
-        self.present = present
 
     def block(self, x, y, z, w):
         return self.blocks.get((x, y, z, w))
@@ -150,7 +149,7 @@ class CategoryData:
 
     @property
     def representable(self) -> bool:
-        return self.baxterisable and self.f is not None and self.f.present
+        return self.baxterisable and self.f is not None
 
     def capabilities(self) -> dict:
         return {"baxterisable": self.baxterisable, "representable": self.representable}
@@ -220,13 +219,16 @@ def check_fusion_ring(rules: FusionRules) -> VerificationReport:
     rep.add("duality", 0.0 if bad is None else 1.0, 0.5, samples=n * n,
             **({} if bad is None else {"counterexample": list(bad)}))
 
+    # (ab)c = a(bc) for one a at a time, as [b, c, d] arrays:
+    # sum_x N_ab^x N_xc^d against sum_y N_bc^y N_ay^d
     bad = None
     Ni = N.astype(np.int64)
-    for a, b, c, d in itertools.product(range(n), repeat=4):
-        lhs = int(np.dot(Ni[a, b], Ni[:, c, d]))
-        rhs = int(np.dot(Ni[b, c], Ni[a, :, d]))
-        if lhs != rhs:
-            bad = (a, b, c, d)
+    for a in range(n):
+        lhs = (Ni[a] @ Ni.reshape(n, n * n)).reshape(n, n, n)
+        rhs = (Ni.reshape(n * n, n) @ Ni[a]).reshape(n, n, n)
+        diff = np.argwhere(lhs != rhs)
+        if len(diff):
+            bad = (a, *(int(i) for i in diff[0]))
             break
     rep.add("associativity", 0.0 if bad is None else 1.0, 0.5, samples=n ** 4,
             **({} if bad is None else {"counterexample": list(bad)}))
@@ -428,10 +430,6 @@ def check_f_identities(cat: CategoryData, tol: float = 1e-10) -> VerificationRep
 _SCHEMA = "baxcat-category-v1"
 
 
-def _cfmt(z: complex):
-    return [fmt_float(z.real), fmt_float(z.imag)]
-
-
 def category_to_json(cat: CategoryData) -> str:
     doc = {
         "schema": _SCHEMA,
@@ -447,10 +445,10 @@ def category_to_json(cat: CategoryData) -> str:
                     zip(*np.nonzero(cat.rules.N))]  # sparse triples, value always 1
     if cat.dims is not None:
         doc["d"] = [fmt_float(x) for x in cat.dims.d]
-    if cat.f is not None and cat.f.present:
+    if cat.f is not None:
         ftab = []
         for (x, y, z, w), u, v, val in cat.f.entries():
-            ftab.append([x, y, z, w, u, v, _cfmt(val)])
+            ftab.append([x, y, z, w, u, v, fmt_complex(val)])
         doc["F"] = ftab
     if cat.channels is not None:
         doc["channels"] = list(cat.channels)

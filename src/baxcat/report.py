@@ -9,6 +9,12 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def fmt_complex(z) -> list:
+    """[real, imag] as 17-significant-digit strings."""
+    z = complex(z)
+    return [fmt_float(z.real), fmt_float(z.imag)]
+
+
 @dataclass
 class CheckResult:
     """One named residual check."""

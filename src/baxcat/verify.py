@@ -38,6 +38,11 @@ def mu_annulus(rng, n, avoid=()):
     return out
 
 
+def _check_samples(samples):
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+
+
 def _fnorm(m):
     return float(np.linalg.norm(m))
 
@@ -81,6 +86,7 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
     F-symbols and dimensions against the solved ratios.  phibar = phi for
     self-dual currents, which is the printed form of the relation.
     """
+    _check_samples(samples)
     if not cat.representable:
         raise CapabilityError(f"{cat.name} has no F-symbols; vertex check needs them")
     if solution.verdict == INCONSISTENT:
@@ -124,6 +130,7 @@ def verify_ybe(cat: CategoryData, rho, solution: AmplitudeSolution, L=3,
                samples=25, seed=0, tol=1e-8) -> VerificationReport:
     """R_j(mu) R_{j+1}(mu mu') R_j(mu') = R_{j+1}(mu') R_j(mu mu') R_{j+1}(mu)
     on the three-strand open basis, multiplicative difference form."""
+    _check_samples(samples)
     if L < 3:
         raise DomainError("YBE needs at least three strands")
     basis = enumerate_trees(cat, rho, L, OPEN_ALL)
@@ -162,6 +169,7 @@ def verify_ybe(cat: CategoryData, rho, solution: AmplitudeSolution, L=3,
 def verify_commuting_transfer(cat: CategoryData, rho, solution: AmplitudeSolution,
                               L, samples=5, seed=0, tol=1e-8) -> VerificationReport:
     """Relative commutator of T(mu), T(mu') on the periodic basis."""
+    _check_samples(samples)
     if L > 8:
         raise DomainError("transfer check capped at L = 8")
     basis = enumerate_trees(cat, rho, L, PERIODIC)
@@ -304,6 +312,8 @@ def loop_functional_check(q: complex, mu, mu2, tol=1e-10, c_offset=0.0) -> Verif
     c_offset shifts C/A_1 away from the closed form; nonzero values are
     negative controls and must break the equation.
     """
+    if q == 0:
+        raise DomainError("loop weight q must be nonzero")
     c1 = loop_c_ratio(q, mu) + c_offset
     c2 = loop_c_ratio(q, mu2) + c_offset
     c12 = loop_c_ratio(q, mu * mu2) + c_offset

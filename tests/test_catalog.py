@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import baxcat as bx
+from baxcat.catalog import FAMILIES
 from baxcat.category import FSymbolTable
+from baxcat.cli import main
 from baxcat.errors import DomainError
 
 
@@ -100,14 +102,30 @@ def test_lie_g2():
     ("su2", {"k": 0}), ("minimal", {"k": -1}), ("ty", {"M": 1}),
     ("so", {"n": 2, "k": 2}), ("sp", {"m": 1, "k": 2}), ("g2", {"k": 0}),
 ])
-def test_param_validation(family, kwargs):
+def test_param_validation(family, kwargs, capsys):
     with pytest.raises(DomainError):
         bx.build_family(family, **kwargs)
+    # every registry parameter: its minimum builds, one below it is refused,
+    # and leaving its flag off the command line exits 2 naming the flag
+    params = FAMILIES[family].params
+    least = {p.kwarg: p.minimum for p in params}
+    bx.build_family(family, **least)
+    for p in params:
+        with pytest.raises(DomainError, match=f"parameter {p.kwarg} "):
+            bx.build_family(family, **{**least, p.kwarg: p.minimum - 1})
+        argv = ["classify", "--family", family]
+        for other in params:
+            if other is not p:
+                argv += [other.flag, str(other.minimum)]
+        assert main(argv) == 2
+        assert p.flag in capsys.readouterr().err
 
 
 def test_unknown_family():
     with pytest.raises(DomainError):
         bx.build_family("e8", k=1)
+    with pytest.raises(DomainError, match="'M'"):
+        bx.build_family("su2", k=2, M=3)
 
 
 @pytest.mark.parametrize("build, arg", [
@@ -157,4 +175,7 @@ def test_f_mutation_breaks_pentagon():
 
 def test_catalog_rows_cover_families():
     rows = bx.catalog_rows()
-    assert {r["family"] for r in rows} == {"su2", "minimal", "ty", "so", "sp", "g2"}
+    assert [r["family"] for r in rows] == list(FAMILIES)
+    assert set(FAMILIES) == {"su2", "minimal", "ty", "so", "sp", "g2"}
+    so = next(r for r in rows if r["family"] == "so")
+    assert so["params"] == "n>=3, k>=1" and not so["representable"]

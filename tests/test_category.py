@@ -99,6 +99,17 @@ def test_check_fusion_ring_single_object():
     assert bx.check_fusion_ring(_single_object_rules()).passed
 
 
+def _first_nonassociative(N):
+    """Reference: the first (a, b, c, d) in product order with
+    sum_x N_ab^x N_xc^d != sum_y N_bc^y N_ay^d."""
+    n = len(N)
+    Ni = N.astype(np.int64)
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        if int(np.dot(Ni[a, b], Ni[:, c, d])) != int(np.dot(Ni[b, c], Ni[a, :, d])):
+            return [a, b, c, d]
+    return None
+
+
 def test_check_fusion_ring_mutated():
     cat = bx.build_su2k(2)
     N = cat.rules.N.copy()
@@ -107,9 +118,18 @@ def test_check_fusion_ring_mutated():
     rep = bx.check_fusion_ring(bad)
     check = rep.check("associativity")
     assert not check.passed
-    assert "counterexample" in check.details
+    assert check.details["counterexample"] == _first_nonassociative(N)
     with pytest.raises(AxiomError):
         bx.compute_quantum_dims(bad)
+    # the same first counterexample as the reference loop on seeded corruptions
+    rules = bx.build_su2k(5).rules
+    rng = np.random.default_rng(3)
+    for _ in range(10):
+        N = rules.N.copy()
+        N[tuple(rng.integers(0, rules.n_objects, 3))] ^= 1
+        check = bx.check_fusion_ring(FusionRules(rules.n_objects, N, rules.dual)).check(
+            "associativity")
+        assert check.details.get("counterexample") == _first_nonassociative(N)
 
 
 def test_twist_factor_su2_2():

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import baxcat as bx
 from baxcat.cli import main
 
@@ -127,3 +129,25 @@ def test_table_numbers_round_trip_through_json():
     amp = doc["evaluations"][0]["amplitudes"]["1"]
     val = complex(float(amp[0]), float(amp[1]))
     assert f"{val:.12g}" in table
+
+
+SU2_3 = ["--family", "su2", "--level", "3", "--rho", "1/2", "--phi", "1"]
+
+
+@pytest.mark.parametrize("args", [
+    ["baxterize", *SU2_3, "--mu", "abc"],
+    ["baxterize", *SU2_3, "--export-category", "{missing}"],
+    ["verify", "loop", "--q", "0"],
+    ["verify", "transfer", *SU2_3, "--L", "0"],
+    ["verify", "current", *SU2_3, "--samples", "0"],
+    ["verify", "current", *SU2_3, "--samples", "-3"],
+    ["verify", "current", *SU2_3, "--tol", "0"],
+    ["verify", "current", *SU2_3, "--tol", "nan"],
+], ids=["mu-abc", "export-no-dir", "loop-q0", "L0", "samples0", "samples-3",
+        "tol0", "tol-nan"])
+def test_bad_input_exits_2(args, tmp_path):
+    missing = str(tmp_path / "no-such-dir" / "cat.json")
+    rc, _, err = run_cli([a.replace("{missing}", missing) for a in args])
+    assert rc == 2
+    assert "error:" in err
+    assert "Traceback" not in err

@@ -60,6 +60,18 @@ def test_current_vertex_needs_f():
         bx.verify_current_vertex(so5, 3, 1, sol)
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_sampled_checks_refuse_no_samples(samples):
+    cat = bx.build_su2k(3)
+    sol = solved(cat, 1, 2)
+    with pytest.raises(DomainError):
+        bx.verify_current_vertex(cat, 1, 2, sol, samples=samples)
+    with pytest.raises(DomainError):
+        bx.verify_ybe(cat, 1, sol, samples=samples)
+    with pytest.raises(DomainError):
+        bx.verify_commuting_transfer(cat, 1, sol, L=4, samples=samples)
+
+
 def test_current_vertex_rejects_inconsistent():
     cat = bx.build_su2k(8)
     sol = solved(cat, 3, 4)
@@ -221,6 +233,11 @@ def test_loop_functional_at_u_zero():
     q = cmath.exp(1j * cmath.pi / 7)
     rep = bx.loop_functional_check(q, 1.0, 1.9 + 0.4j)
     assert rep.check("functional_equation").residual < 1e-14
+
+
+def test_loop_functional_rejects_q_zero():
+    with pytest.raises(DomainError):
+        bx.loop_functional_check(0, 0.5, 2.0)
 
 
 def test_loop_functional_mutation():
