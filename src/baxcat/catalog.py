@@ -5,6 +5,9 @@ twist variant A_{k+1}, and the Z_M Tambara-Yamagami clock categories.
 Twist-only families (spins, signs and declared tensor-product adjacency,
 no fusion tensor): so(n)_k, sp(2m)_k, (G_2)_k.
 
+F tables are built on the first read of `CategoryData.f.blocks`: solving and
+classifying use twist data only, so they never pay for one.
+
 `FAMILIES` is the one registry of them: `build_family`, `catalog list` and the
 command-line family flags and their bounds are all read from it.
 """
@@ -84,7 +87,7 @@ def build_su2k(k: int) -> CategoryData:
         twists=TwistData(Delta, _su2_nu(k)),
         rules=_su2_rules(k),
         dims=_su2_dims(k),
-        f=FSymbolTable(su2k_f_blocks(k)),
+        f=FSymbolTable(lambda: su2k_f_blocks(k)),
     )
 
 
@@ -101,7 +104,7 @@ def build_minimal_A(k: int) -> CategoryData:
         twists=TwistData(Delta, nu),
         rules=_su2_rules(k),
         dims=_su2_dims(k),
-        f=FSymbolTable(su2k_f_blocks(k)),
+        f=FSymbolTable(lambda: su2k_f_blocks(k)),
     )
 
 
@@ -123,7 +126,8 @@ def ty_f_blocks(M: int) -> dict:
     """Z_M Tambara-Yamagami F blocks, bicharacter omega^{ab}, FS indicator +1.
 
     Nontrivial values sit on the (a,X,c), (X,b,X) and (X,X,X) block patterns;
-    the placement below passes the pentagon for every M.
+    the placement below passes the pentagon for every M.  The matrices are
+    read-only.
     """
     X = M
     omega = np.exp(2j * np.pi / M)
@@ -149,6 +153,7 @@ def ty_f_blocks(M: int) -> dict:
                         mat[i, j] = omega ** (y * w)
                     else:
                         mat[i, j] = 1.0
+            mat.setflags(write=False)       # cached, so shared by every build
             blocks[(x, y, z, w)] = (us, vs, mat)
     return blocks
 
@@ -184,7 +189,7 @@ def build_tambara_yamagami(M: int) -> CategoryData:
         twists=TwistData(Delta, nu),
         rules=rules,
         dims=QuantumDims(d),
-        f=FSymbolTable(ty_f_blocks(M)),
+        f=FSymbolTable(lambda: ty_f_blocks(M)),
         notes=("Delta_X is a placeholder unused by the solver; braid phases "
                "involving it are global and cancel in every relation",),
     )

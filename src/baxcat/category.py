@@ -18,6 +18,7 @@ published gauge.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -85,11 +86,22 @@ class TwistData:
 
 
 class FSymbolTable:
-    """Sparse block storage for [F^{xyz}_w]_{uv}."""
+    """Sparse block storage for [F^{xyz}_w]_{uv}.
+
+    Takes the blocks themselves or a zero-argument loader returning them; a
+    loader runs on the first read of `blocks` and its result is kept.
+    """
 
     def __init__(self, blocks):
-        # blocks: {(x,y,z,w): (us tuple, vs tuple, complex matrix)}
-        self.blocks = blocks
+        # blocks: {(x,y,z,w): (us tuple, vs tuple, complex matrix)}, or a loader
+        if callable(blocks):
+            self._load = blocks
+        else:
+            self.blocks = blocks
+
+    @functools.cached_property
+    def blocks(self):
+        return self._load()
 
     def block(self, x, y, z, w):
         return self.blocks.get((x, y, z, w))
@@ -460,27 +472,99 @@ def category_to_json(cat: CategoryData) -> str:
     return json.dumps(doc, indent=1)
 
 
+def _doc_get(doc, key, kind=list, length=None):
+    """doc[key], which must be a `kind` (with `length` entries when given)."""
+    if key not in doc:
+        raise DomainError(f"category JSON has no {key!r}")
+    val = doc[key]
+    if not isinstance(val, kind) or (length is not None and len(val) != length):
+        want = kind.__name__ if length is None else f"{kind.__name__} of {length} entries"
+        raise DomainError(f"category JSON {key!r} must be a {want}, got {val!r}")
+    return val
+
+
+def _is_label(a, n) -> bool:
+    return type(a) is int and 0 <= a < n
+
+
+def _check_rows(key, rows, n, width, n_labels):
+    """Each row is a list of `width` fields whose first `n_labels` are labels."""
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            raise DomainError(f"category JSON {key}[{i}] = {row!r}: expected {width} fields")
+        for a in row[:n_labels]:
+            if type(a) is not int or not 0 <= a < n:
+                raise DomainError(f"category JSON {key}[{i}] = {row!r}: "
+                                  f"label {a!r} is not in 0..{n - 1}")
+    return rows
+
+
+def _check_labels(key, vals, n):
+    for i, a in enumerate(vals):
+        if not _is_label(a, n):
+            raise DomainError(f"category JSON {key}[{i}] = {a!r}: label not in 0..{n - 1}")
+    return vals
+
+
+def _convert(key, vals, fn, what):
+    """[fn(v) for v in vals], naming the first value that fn rejects."""
+    out = []
+    for i, v in enumerate(vals):
+        try:
+            out.append(fn(v))
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise DomainError(f"category JSON {key}[{i}] = {v!r}: not {what}") from None
+    return out
+
+
+def _complex_pair(val):
+    re, im = val
+    return complex(float(re), float(im))
+
+
 def category_from_json(text: str) -> CategoryData:
-    doc = json.loads(text)
-    if doc.get("schema") != _SCHEMA:
-        raise DomainError(f"unknown category schema {doc.get('schema')!r}")
-    labels = tuple(ObjectLabel(i, s) for i, s in enumerate(doc["labels"]))
+    """Parse a category document.  A malformed one raises DomainError naming
+    the key and, inside a list, the entry at fault."""
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"category JSON does not parse: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != _SCHEMA:
+        raise DomainError(f"unknown category schema {schema!r}")
+    name = _doc_get(doc, "name", str)
+    texts = _doc_get(doc, "labels")
+    for i, s in enumerate(texts):
+        if not isinstance(s, str):
+            raise DomainError(f"category JSON labels[{i}] = {s!r}: expected a string")
+    labels = tuple(ObjectLabel(i, s) for i, s in enumerate(texts))
     n = len(labels)
-    Delta = tuple(None if s is None else Fraction(s) for s in doc["Delta"])
-    nu = {(a, b, c): s for a, b, c, s in doc["nu"]}
-    twists = TwistData(Delta, nu)
+    Delta = _convert("Delta", _doc_get(doc, "Delta", length=n),
+                     lambda s: None if s is None else Fraction(s), "a fraction")
+    nu = {}
+    for i, (a, b, c, s) in enumerate(_check_rows("nu", _doc_get(doc, "nu"), n, 4, 3)):
+        if type(s) is not int or abs(s) != 1:
+            raise DomainError(f"category JSON nu[{i}] = {[a, b, c, s]!r}: sign must be 1 or -1")
+        nu[(a, b, c)] = s
+    twists = TwistData(tuple(Delta), nu)
     rules = None
     if "N" in doc:
         N = np.zeros((n, n, n), dtype=np.uint8)
-        for a, b, c in doc["N"]:
+        for a, b, c in _check_rows("N", _doc_get(doc, "N"), n, 3, 3):
             N[a, b, c] = 1
-        rules = FusionRules(n, N, tuple(doc["dual"]))
-    dims = QuantumDims(np.array([float(x) for x in doc["d"]])) if "d" in doc else None
+        dual = _check_labels("dual", _doc_get(doc, "dual", length=n), n)
+        rules = FusionRules(n, N, tuple(dual))
+    dims = None
+    if "d" in doc:
+        dims = QuantumDims(np.array(_convert("d", _doc_get(doc, "d", length=n), float,
+                                             "a number")))
     f = None
     if "F" in doc:
+        rows = _check_rows("F", _doc_get(doc, "F"), n, 7, 6)
+        vals = _convert("F", [row[6] for row in rows], _complex_pair, "a [real, imag] pair")
         blocks = {}
-        for x, y, z, w, u, v, (re, im) in doc["F"]:
-            blocks.setdefault((x, y, z, w), []).append((u, v, complex(float(re), float(im))))
+        for (x, y, z, w, u, v, _), val in zip(rows, vals):
+            blocks.setdefault((x, y, z, w), []).append((u, v, val))
         out = {}
         for key, ents in blocks.items():
             us = sorted({u for u, _, _ in ents})
@@ -490,11 +574,20 @@ def category_from_json(text: str) -> CategoryData:
                 mat[us.index(u), vs.index(v)] = val
             out[key] = (tuple(us), tuple(vs), mat)
         f = FSymbolTable(out)
-    channels = tuple(doc["channels"]) if "channels" in doc else None
-    tp = None
+    channels = tp = None
+    if "channels" in doc:
+        channels = tuple(_check_labels("channels", _doc_get(doc, "channels"), n))
+    rho = doc.get("rho")
+    if rho is not None and not _is_label(rho, n):
+        raise DomainError(f"category JSON 'rho' = {rho!r}: label not in 0..{n - 1}")
     if "tp_adjacency" in doc:
-        tp = {int(phi): tuple(tuple(e) for e in edges)
-              for phi, edges in doc["tp_adjacency"].items()}
-    return CategoryData(doc["name"], labels, twists, rules=rules, dims=dims, f=f,
-                        channels=channels, rho_declared=doc.get("rho"), tp_adjacency=tp,
+        tp = {}
+        for phi, edges in _doc_get(doc, "tp_adjacency", dict).items():
+            key = f"tp_adjacency[{phi!r}]"
+            if not phi.isdigit() or not _is_label(int(phi), n) or not isinstance(edges, list):
+                raise DomainError(f"category JSON {key} = {edges!r}: expected a label "
+                                  "and a list of edges")
+            tp[int(phi)] = tuple(tuple(e) for e in _check_rows(key, edges, n, 2, 2))
+    return CategoryData(name, labels, twists, rules=rules, dims=dims, f=f,
+                        channels=channels, rho_declared=rho, tp_adjacency=tp,
                         notes=tuple(doc.get("notes", ())))

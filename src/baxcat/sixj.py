@@ -229,7 +229,8 @@ def _sign_system(k: int, blocks: dict):
 
 @lru_cache(maxsize=None)
 def su2k_f_blocks(k: int) -> dict:
-    """Gauge-fixed complex F blocks for su(2)_k, keyed (x,y,z,w)."""
+    """Gauge-fixed complex F blocks for su(2)_k, keyed (x,y,z,w); the
+    matrices are read-only."""
     blocks = _raw_blocks(k)
     sys2, vid, xi = _sign_system(k, blocks)
     sol = sys2.solve()
@@ -245,5 +246,6 @@ def su2k_f_blocks(k: int) -> dict:
                     s ^= sol[idx]
                 if s:
                     fixed[i, j] = -fixed[i, j]
+        fixed.setflags(write=False)         # cached and shared by su2 and minimal
         out[(x, y, z, w)] = (us, vs, fixed)
     return out

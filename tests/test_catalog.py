@@ -58,6 +58,15 @@ def test_minimal_A_shares_fusion_and_dims():
     assert su2.twists.Delta != mini.twists.Delta
 
 
+def test_cached_f_arrays_are_read_only():
+    # the tables are cached per level and shared, so no caller may edit them
+    for cat in (bx.build_su2k(4), bx.build_tambara_yamagami(5)):
+        for _, _, mat in cat.f.blocks.values():
+            with pytest.raises(ValueError):
+                mat[0, 0] = 2.0
+    assert bx.build_su2k(4).f.blocks is bx.build_minimal_A(4).f.blocks
+
+
 def test_ty_2_data():
     ty = bx.build_tambara_yamagami(2)
     assert ty.twists.Delta[1] == Fraction(1, 2)

@@ -2,7 +2,9 @@
 
 import cmath
 import itertools
+import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -261,3 +263,59 @@ def test_json_round_trip_twist_only():
     assert cat2.twists.Delta == so6.twists.Delta
     assert cat2.notes == so6.notes and so6.notes
     assert bx.category_to_json(cat2) == text
+
+
+def _edited(edit):
+    doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set(key, i, val):
+    def edit(doc):
+        doc[key][i] = val
+    return edit
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda doc: doc.pop("labels"), "'labels'"),
+    (lambda doc: doc.pop("name"), "'name'"),
+    (lambda doc: doc.pop("Delta"), "'Delta'"),
+    (lambda doc: doc.pop("nu"), "'nu'"),
+    (lambda doc: doc.pop("dual"), "'dual'"),
+    (_set("labels", 1, 7), "labels[1]"),
+    (lambda doc: doc["Delta"].pop(), "'Delta'"),
+    (_set("Delta", 2, "1/x"), "Delta[2]"),
+    (_set("nu", 3, [1, 0]), "nu[3]"),
+    (_set("nu", 3, [1, 0, 9, 1]), "nu[3]"),
+    (_set("nu", 3, [1, 0, 1, 2]), "nu[3]"),
+    (_set("N", 4, [0, 0, 9]), "N[4]"),
+    (_set("N", 4, [0, -1, 1]), "N[4]"),
+    (_set("N", 4, [0, 1]), "N[4]"),
+    (_set("N", 4, 5), "N[4]"),
+    (lambda doc: doc["dual"].pop(), "'dual'"),
+    (_set("dual", 1, 3), "dual[1]"),
+    (_set("d", 1, "root two"), "d[1]"),
+    (lambda doc: doc["d"].pop(), "'d'"),
+    (_set("F", 5, [0, 1, 1, 0, 1, 0]), "F[5]"),
+    (_set("F", 5, [0, 1, 1, 0, 1, 3, ["1", "0"]]), "F[5]"),
+    (_set("F", 5, [0, 1, 1, 0, 1, 0, "1"]), "F[5]"),
+    (lambda doc: doc.update(F={}), "'F'"),
+    (lambda doc: doc.update(rho=5), "'rho'"),
+    (lambda doc: doc.update(channels=[0, 7]), "channels[1]"),
+    (lambda doc: doc.update(tp_adjacency={"1": [[0, 2], [2, 3]]}), "tp_adjacency['1'][1]"),
+    (lambda doc: doc.update(tp_adjacency={"9": []}), "tp_adjacency['9']"),
+], ids=["no-labels", "no-name", "no-Delta", "no-nu", "no-dual", "label-not-str",
+        "short-Delta", "bad-Delta", "short-nu", "nu-label", "nu-sign", "N-label",
+        "N-negative", "short-N", "N-not-list", "short-dual", "dual-label", "bad-d",
+        "short-d", "short-F", "F-label", "F-value", "F-not-list", "rho-label",
+        "channels-label", "tp-edge-label", "tp-phi-label"])
+def test_from_json_rejects_malformed(edit, where):
+    with pytest.raises(DomainError, match=re.escape(where)):
+        bx.category_from_json(_edited(edit))
+
+
+@pytest.mark.parametrize("text", ["{", "[]", '{"schema": "other"}'])
+def test_from_json_rejects_non_documents(text):
+    with pytest.raises(DomainError):
+        bx.category_from_json(text)

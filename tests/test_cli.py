@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -7,6 +8,8 @@ import sys
 import pytest
 
 import baxcat as bx
+import baxcat.catalog
+from baxcat.category import FSymbolTable
 from baxcat.cli import main
 
 
@@ -151,3 +154,42 @@ def test_bad_input_exits_2(args, tmp_path):
     assert rc == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def _no_f(*args):
+    raise AssertionError("an F table was built")
+
+
+@pytest.mark.parametrize("args, line", [
+    (["classify", "--family", "su2", "--level", "8"], "(3/2, 2): INCONSISTENT"),
+    (["classify", "--family", "minimal", "--level", "5"], "(1/2, 1): TREE_UNIQUE"),
+    (["classify", "--family", "ty", "--M", "6"], "(X, 1): CYCLE_CONSISTENT   graph 6v/6e/1c"),
+    (["baxterize", "--family", "su2", "--level", "4", "--rho", "1/2", "--phi", "1",
+      "--mu", "2"], "mu=(2+0j): A[1]/A[0] = "),
+    (["--format", "json", "baxterize", "--family", "ty", "--M", "5", "--rho", "X",
+      "--phi", "1", "--mu", "1.7+0.3j"], '"edge_ratios"'),
+], ids=["classify-su2", "classify-minimal", "classify-ty", "baxterize-su2", "baxterize-ty"])
+def test_classify_and_baxterize_build_no_f(args, line, monkeypatch, capsys):
+    # solving reads twist data only; the output is what a fresh process prints
+    monkeypatch.setattr(baxcat.catalog, "su2k_f_blocks", _no_f)
+    monkeypatch.setattr(baxcat.catalog, "ty_f_blocks", _no_f)
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert line in out
+    assert (0, out, "") == run_cli(args)
+
+
+@pytest.mark.parametrize("family, flag, kwarg, value, loader", [
+    ("su2", "--level", "k", 3, "su2k_f_blocks"), ("ty", "--M", "M", 4, "ty_f_blocks"),
+])
+def test_export_category_builds_f(family, flag, kwarg, value, loader, monkeypatch, tmp_path):
+    real = getattr(baxcat.catalog, loader)
+    calls = []
+    monkeypatch.setattr(baxcat.catalog, loader, lambda arg: calls.append(arg) or real(arg))
+    path = tmp_path / "cat.json"
+    rc = main(["classify", "--family", family, flag, str(value),
+               "--export-category", str(path)])
+    assert rc == 0 and calls == [value]
+    eager = dataclasses.replace(bx.build_family(family, **{kwarg: value}),
+                                f=FSymbolTable(real(value)))
+    assert path.read_text() == bx.category_to_json(eager)
