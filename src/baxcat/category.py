@@ -563,14 +563,21 @@ def category_from_json(text: str) -> CategoryData:
         rows = _check_rows("F", _doc_get(doc, "F"), n, 7, 6)
         vals = _convert("F", [row[6] for row in rows], _complex_pair, "a [real, imag] pair")
         blocks = {}
-        for (x, y, z, w, u, v, _), val in zip(rows, vals):
-            blocks.setdefault((x, y, z, w), []).append((u, v, val))
+        for i, (row, val) in enumerate(zip(rows, vals)):
+            ents = blocks.setdefault(tuple(row[:4]), {})
+            if tuple(row[4:6]) in ents:
+                raise DomainError(f"category JSON F[{i}] = {row!r}: entry "
+                                  f"{tuple(row[:6])} given twice")
+            ents[tuple(row[4:6])] = val
         out = {}
         for key, ents in blocks.items():
-            us = sorted({u for u, _, _ in ents})
-            vs = sorted({v for _, v, _ in ents})
+            us = sorted({u for u, _ in ents})
+            vs = sorted({v for _, v in ents})
+            if len(us) != len(vs):
+                raise AxiomError(f"category JSON F block {key} is {len(us)}x{len(vs)}, "
+                                 "not square")
             mat = np.zeros((len(us), len(vs)), dtype=complex)
-            for u, v, val in ents:
+            for (u, v), val in ents.items():
                 mat[us.index(u), vs.index(v)] = val
             out[key] = (tuple(us), tuple(vs), mat)
         f = FSymbolTable(out)

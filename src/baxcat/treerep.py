@@ -3,11 +3,16 @@ projectors, braid generators, spectral R-matrices and transfer matrices.
 
 A basis state is a height sequence (h_0, ..., h_L) with every step admissible
 under fusion with rho; periodic bases carry h_L = h_0 explicitly.  Operators
-are dense complex matrices; column index is the input state.
+are dense complex matrices (column index is the input state) gathered from
+one face weight sum_chi c_chi U[h', chi] conj(U[h, chi]) over the blocks
+U = [F^{h- rho rho}_{h+}]: c is a unit vector for a projector, the twists
+for a braid and A(mu) for R(mu) and the transfer matrix.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +20,7 @@ import numpy as np
 from .baxterize import AmplitudeSolution, amplitude_at
 from .category import CategoryData, fusion_product, twist_factor
 from .errors import CapabilityError, DomainError
-from .report import fmt_float
+from .report import fmt_complex
 
 OPEN = "open"
 OPEN_ALL = "open_all"
@@ -23,10 +28,11 @@ PERIODIC = "periodic"
 
 
 class FusionTreeBasis:
-    """Lexicographically ordered admissible height sequences.
+    """Lexicographically ordered admissible height sequences, as tuples in
+    `states` and as a dim x (L+1) int array in `heights`.
 
-    Immutable after construction apart from an internal per-basis memo of
-    projector matrices.
+    Immutable after construction; the read-only face tensor is built from the
+    F blocks when the first operator on the basis needs it.
     """
 
     def __init__(self, cat: CategoryData, rho, L, bc, boundary=None):
@@ -48,7 +54,8 @@ class FusionTreeBasis:
         self.boundary = boundary
         self.states = tuple(self._enumerate())
         self.index = {s: i for i, s in enumerate(self.states)}
-        self._projectors = {}
+        self.heights = np.array(self.states, dtype=int).reshape(self.size, L + 1)
+        self.heights.setflags(write=False)
 
     def _steps(self, h):
         N = self.cat.rules.N
@@ -86,18 +93,21 @@ class FusionTreeBasis:
             raise DomainError(f"site {j} outside {list(self.site_range())} for bc={self.bc}")
         return j
 
-    def neighbourhood(self, state, j):
-        """(h_{j-1}, h_j, h_{j+1}) with periodic wrap-around."""
-        if self.bc == PERIODIC and j == self.L:
-            return state[j - 1], state[j], state[1]
-        return state[j - 1], state[j], state[j + 1]
-
-    def replace_height(self, state, j, h):
-        lst = list(state)
-        lst[j] = h
-        if self.bc == PERIODIC and j == self.L:
-            lst[0] = h
-        return tuple(lst)
+    @functools.cached_property
+    def face(self) -> np.ndarray:
+        """U[h-, h+, h, chi] = [F^{h- rho rho}_{h+}]_{h chi}, zero off the blocks."""
+        cat = self.cat
+        if not cat.representable:
+            raise CapabilityError(f"{cat.name} has no F-symbols; operators unavailable")
+        n = cat.n_objects
+        U = np.zeros((n,) * 4, dtype=complex)
+        for hm, hp in itertools.product(range(n), repeat=2):
+            blk = cat.f.block(hm, self.rho, self.rho, hp)
+            if blk is not None:
+                us, vs, mat = blk
+                U[hm, hp][np.ix_(us, vs)] = mat
+        U.setflags(write=False)
+        return U
 
 
 @dataclass(frozen=True)
@@ -112,15 +122,39 @@ class LinearOp:
         return self.matrix.shape[0]
 
     def to_dict(self) -> dict:
-        flat = []
-        for z in self.matrix.reshape(-1):
-            flat.append([fmt_float(z.real), fmt_float(z.imag)])
+        flat = [fmt_complex(z) for z in self.matrix.reshape(-1)]
         return {"name": self.name, "dim": self.dim, "entries_row_major": flat}
 
 
 def enumerate_trees(cat: CategoryData, rho, L, bc, boundary=None) -> FusionTreeBasis:
     """Complete, duplicate-free, lexicographically ordered height basis."""
     return FusionTreeBasis(cat, rho, L, bc, boundary)
+
+
+def face_weights(basis: FusionTreeBasis, rho, coeffs) -> np.ndarray:
+    """W[h-, h+, h', h] = sum_chi c_chi U[h-, h+, h', chi] conj(U[h-, h+, h, chi])
+    for coefficients {chi: c_chi}, i.e. U diag(c) U^dagger on every face."""
+    if rho != basis.rho:
+        raise DomainError(f"operator strand {basis.cat.display(rho)} differs from the "
+                          f"basis strand {basis.cat.display(basis.rho)}")
+    c = np.array([coeffs.get(x, 0) for x in range(basis.cat.n_objects)], dtype=complex)
+    U = basis.face
+    return (U * c) @ U.conj().swapaxes(-1, -2)
+
+
+def _site_op(basis: FusionTreeBasis, rho, coeffs, j, name) -> LinearOp:
+    """M[r, c] = W[h_{j-1}(c), h_{j+1}(c), h_j(r), h_j(c)] wherever states r and
+    c agree off site j (and off h_0 = h_L at the periodic seam j = L)."""
+    basis.check_site(j)
+    W = face_weights(basis, rho, coeffs)
+    H = basis.heights
+    seam = basis.bc == PERIODIC and j == basis.L
+    rest = np.delete(H, [0, j] if seam else [j], axis=1)
+    cls = np.unique(rest, axis=0, return_inverse=True)[1].reshape(-1)
+    r, c = np.nonzero(cls[:, None] == cls)
+    M = np.zeros((basis.size, basis.size), dtype=complex)
+    M[r, c] = W[H[c, j - 1], H[c, 1 if seam else j + 1], H[r, j], H[c, j]]
+    return LinearOp(basis, M, (j,), name)
 
 
 def projector_op(cat: CategoryData, rho, chi, j, basis: FusionTreeBasis) -> LinearOp:
@@ -130,63 +164,30 @@ def projector_op(cat: CategoryData, rho, chi, j, basis: FusionTreeBasis) -> Line
     P_{h' h} = U_{h' chi} conj(U_{h chi}).  In the self-dual gauge this equals
     the product of the two F-moves performed on the tree.
     """
-    if not cat.representable:
-        raise CapabilityError(f"{cat.name} has no F-symbols; projectors unavailable")
     rho, chi = cat.check_label(rho), cat.check_label(chi)
     if chi not in fusion_product(cat, rho, rho):
         raise DomainError(f"{cat.display(chi)} is not a channel of "
                           f"{cat.display(rho)} x {cat.display(rho)}")
-    basis.check_site(j)
-    key = (rho, chi, j)
-    cached = basis._projectors.get(key)
-    if cached is not None:
-        return LinearOp(basis, cached, (j,), f"P[{cat.display(chi)}]_{j}")
-    n = basis.size
-    P = np.zeros((n, n), dtype=complex)
-    fb = cat.f.block_value
-    for s in basis.states:
-        hm, hj, hp = basis.neighbourhood(s, j)
-        f1 = fb(hm, rho, rho, hp, hj, chi)
-        if f1 is None:
-            continue
-        col = basis.index[s]
-        for hjp in cat.rules.fusion(hm, rho):
-            f2 = fb(hm, rho, rho, hp, hjp, chi)
-            if f2 is None:
-                continue
-            s2 = basis.replace_height(s, j, hjp)
-            row = basis.index.get(s2)
-            if row is not None:
-                P[row, col] += f2 * np.conj(f1)
-    basis._projectors[key] = P
-    return LinearOp(basis, P, (j,), f"P[{cat.display(chi)}]_{j}")
+    return _site_op(basis, rho, {chi: 1.0}, j, f"P[{cat.display(chi)}]_{j}")
 
 
 def braid_op(cat: CategoryData, rho, j, sense, basis: FusionTreeBasis) -> LinearOp:
-    """Braid generator as the twist-weighted sum of channel projectors."""
+    """Braid generator: the channel twists (inverted for `under`) as face weights."""
     if sense not in ("over", "under"):
         raise DomainError(f"braid sense must be 'over' or 'under', got {sense!r}")
     rho = cat.check_label(rho)
-    n = basis.size
-    B = np.zeros((n, n), dtype=complex)
-    for chi in fusion_product(cat, rho, rho):
-        w = twist_factor(cat, chi, rho, rho)
-        if sense == "under":
-            w = 1 / w
-        B += w * projector_op(cat, rho, chi, j, basis).matrix
-    return LinearOp(basis, B, (j,), f"B{'bar' if sense == 'under' else ''}_{j}")
+    power = -1 if sense == "under" else 1
+    twists = {chi: twist_factor(cat, chi, rho, rho) ** power
+              for chi in fusion_product(cat, rho, rho)}
+    return _site_op(basis, rho, twists, j, f"B{'bar' if sense == 'under' else ''}_{j}")
 
 
 def r_op(solution: AmplitudeSolution, mu, j, basis: FusionTreeBasis) -> LinearOp:
     """R_j(mu) = sum_chi A_chi(mu) P_j^{(chi)}."""
-    cat = solution.cat
-    if basis.cat.name != cat.name:
+    if basis.cat.name != solution.cat.name:
         raise DomainError("basis and solution belong to different categories")
-    n = basis.size
-    R = np.zeros((n, n), dtype=complex)
-    for chi in solution.channels:
-        R += amplitude_at(solution, chi, mu) * projector_op(cat, solution.rho, chi, j, basis).matrix
-    return LinearOp(basis, R, (j,), f"R_{j}")
+    amps = {chi: amplitude_at(solution, chi, mu) for chi in solution.channels}
+    return _site_op(basis, solution.rho, amps, j, f"R_{j}")
 
 
 def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> LinearOp:
@@ -198,44 +199,18 @@ def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> 
     neighbours.  A naive composition of the R_j operators cannot thread the
     new h_0 back into the j = 1 factor, and the resulting torn-seam product
     does not commute at distinct mu; the helical matrix elements do.
+    Entry [out, in] = prod_j W[h_{j-1}(out), h_{j+1}(in), h_j(out), h_j(in)].
     """
     if basis.bc != PERIODIC:
         raise DomainError("transfer matrix needs a periodic basis")
-    cat = solution.cat
-    rho = solution.rho
-    n = basis.size
-    L = basis.L
+    n, L = basis.size, basis.L
     if L == 0:
         return LinearOp(basis, np.eye(n, dtype=complex), (), "T")
-    fb = cat.f.block_value
-    amps = [(chi, amplitude_at(solution, chi, mu)) for chi in solution.channels]
-
-    diamonds = {}
-
-    def diamond(lm, m, rp, mp):
-        val = diamonds.get((lm, m, rp, mp))
-        if val is None:
-            val = 0j
-            for chi, a in amps:
-                f_in = fb(lm, rho, rho, rp, m, chi)
-                if f_in is None:
-                    continue
-                f_out = fb(lm, rho, rho, rp, mp, chi)
-                if f_out is None:
-                    continue
-                val += a * f_out * np.conj(f_in)
-            diamonds[(lm, m, rp, mp)] = val
-        return val
-
-    T = np.zeros((n, n), dtype=complex)
-    for col, s in enumerate(basis.states):
-        h = s[:-1]
-        for row, s2 in enumerate(basis.states):
-            hp = s2[:-1]
-            w = 1.0 + 0j
-            for j in range(L):
-                w *= diamond(hp[(j - 1) % L], h[j], h[(j + 1) % L], hp[j])
-                if w == 0:
-                    break
-            T[row, col] = w
+    amps = {chi: amplitude_at(solution, chi, mu) for chi in solution.channels}
+    T = np.ones((n, n), dtype=complex)
+    if n:               # an empty basis reads no F
+        W = face_weights(basis, solution.rho, amps)
+        H = basis.heights[:, :L]
+        for j in range(L):
+            T *= W[H[:, j - 1, None], H[:, (j + 1) % L], H[:, j, None], H[:, j]]
     return LinearOp(basis, T, tuple(range(1, L + 1)), "T")

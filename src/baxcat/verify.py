@@ -8,6 +8,7 @@ annulus 0.2 < |mu| < 5 with small disks around poles excluded.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -51,9 +52,7 @@ def perturb_solution(solution: AmplitudeSolution, chi, eps) -> AmplitudeSolution
     """Scale one channel amplitude by (1 + eps); negative-control input."""
     funcs = dict(solution.funcs)
     funcs[chi] = funcs[chi] * RationalFunction([1.0 + eps], [1.0])
-    return AmplitudeSolution(solution.cat, solution.graph, solution.reference,
-                             solution.channels, funcs, solution.verdict,
-                             solution.components, solution.cycles, solution.tolerance)
+    return dataclasses.replace(solution, funcs=funcs)
 
 
 def random_solution(cat: CategoryData, rho, phi, seed=0) -> AmplitudeSolution:
@@ -65,8 +64,7 @@ def random_solution(cat: CategoryData, rho, phi, seed=0) -> AmplitudeSolution:
         z = rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.uniform())
         funcs[ch] = RationalFunction([complex(z)], [1.0])
     funcs[sol.reference] = RationalFunction.one()
-    return AmplitudeSolution(cat, sol.graph, sol.reference, sol.channels, funcs,
-                             sol.verdict, sol.components, sol.cycles, sol.tolerance)
+    return dataclasses.replace(sol, funcs=funcs)
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +247,9 @@ def verify_projector_algebra(cat: CategoryData, rho, L, tol=1e-10) -> Verificati
     herm = max(_fnorm(P - P.conj().T) for P in Ps.values())
     rep.add("hermiticity", herm, tol, samples=len(Ps))
 
-    block = 0.0
-    for (c, j), P in Ps.items():
-        for i1, s1 in enumerate(basis.states):
-            for i2, s2 in enumerate(basis.states):
-                if (s1[0], s1[-1]) != (s2[0], s2[-1]):
-                    block = max(block, abs(P[i2, i1]))
+    ends = basis.heights[:, [0, -1]]
+    off = (ends[:, None, :] != ends[None, :, :]).any(axis=2)
+    block = max(float(np.abs(P[off]).max(initial=0.0)) for P in Ps.values())
     rep.add("boundary_block_preservation", block, tol)
 
     if len(chans) == 2 and chans[0] == 0 and len(sites) >= 2:

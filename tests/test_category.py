@@ -277,7 +277,7 @@ def _set(key, i, val):
     return edit
 
 
-@pytest.mark.parametrize("edit, where", [
+@pytest.mark.parametrize("edit, where, error", [(*case, DomainError) for case in [
     (lambda doc: doc.pop("labels"), "'labels'"),
     (lambda doc: doc.pop("name"), "'name'"),
     (lambda doc: doc.pop("Delta"), "'Delta'"),
@@ -305,13 +305,18 @@ def _set(key, i, val):
     (lambda doc: doc.update(channels=[0, 7]), "channels[1]"),
     (lambda doc: doc.update(tp_adjacency={"1": [[0, 2], [2, 3]]}), "tp_adjacency['1'][1]"),
     (lambda doc: doc.update(tp_adjacency={"9": []}), "tp_adjacency['9']"),
+    (lambda doc: doc["F"].insert(6, doc["F"][5]), "F[6]"),
+]] + [
+    # drop the two spin-1 (u = 2) entries of the 2x2 block [F^{1/2 1/2 1/2}_{1/2}]
+    (lambda doc: doc.update(F=doc["F"][:18] + doc["F"][20:]), "F block (1, 1, 1, 1)",
+     AxiomError),
 ], ids=["no-labels", "no-name", "no-Delta", "no-nu", "no-dual", "label-not-str",
         "short-Delta", "bad-Delta", "short-nu", "nu-label", "nu-sign", "N-label",
         "N-negative", "short-N", "N-not-list", "short-dual", "dual-label", "bad-d",
         "short-d", "short-F", "F-label", "F-value", "F-not-list", "rho-label",
-        "channels-label", "tp-edge-label", "tp-phi-label"])
-def test_from_json_rejects_malformed(edit, where):
-    with pytest.raises(DomainError, match=re.escape(where)):
+        "channels-label", "tp-edge-label", "tp-phi-label", "F-twice", "F-not-square"])
+def test_from_json_rejects_malformed(edit, where, error):
+    with pytest.raises(error, match=re.escape(where)):
         bx.category_from_json(_edited(edit))
 
 

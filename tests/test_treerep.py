@@ -283,3 +283,121 @@ def test_linear_op_json():
     assert len(doc["entries_row_major"]) == basis.size ** 2
     flat = [complex(float(re), float(im)) for re, im in doc["entries_row_major"]]
     assert np.array_equal(np.array(flat).reshape(op.matrix.shape), op.matrix)
+
+
+# The literal state-by-state loops of the scalar operator layer, kept as
+# oracles for the face-table gathers.
+
+
+def literal_projector(cat, rho, chi, j, basis):
+    """P[row, col] accumulated from scalar F lookups, one input state at a time."""
+    n = basis.size
+    P = np.zeros((n, n), dtype=complex)
+    fb = cat.f.block_value
+    seam = basis.bc == PERIODIC and j == basis.L
+    for s in basis.states:
+        hm, hj, hp = s[j - 1], s[j], s[1 if seam else j + 1]
+        f1 = fb(hm, rho, rho, hp, hj, chi)
+        if f1 is None:
+            continue
+        for hjp in cat.rules.fusion(hm, rho):
+            f2 = fb(hm, rho, rho, hp, hjp, chi)
+            if f2 is None:
+                continue
+            s2 = list(s)
+            s2[j] = hjp
+            if seam:
+                s2[0] = hjp
+            row = basis.index.get(tuple(s2))
+            if row is not None:
+                P[row, basis.index[s]] += f2 * np.conj(f1)
+    return P
+
+
+def literal_transfer(sol, mu, basis):
+    """T[row, col] as the product of helical diamond weights, pair by pair."""
+    cat, rho, L = sol.cat, sol.rho, basis.L
+    fb = cat.f.block_value
+    amps = [(chi, bx.amplitude_at(sol, chi, mu)) for chi in sol.channels]
+    diamonds = {}
+
+    def diamond(lm, m, rp, mp):
+        if (lm, m, rp, mp) not in diamonds:
+            val = 0j
+            for chi, a in amps:
+                f_in = fb(lm, rho, rho, rp, m, chi)
+                f_out = fb(lm, rho, rho, rp, mp, chi)
+                if f_in is not None and f_out is not None:
+                    val += a * f_out * np.conj(f_in)
+            diamonds[(lm, m, rp, mp)] = val
+        return diamonds[(lm, m, rp, mp)]
+
+    T = np.zeros((basis.size, basis.size), dtype=complex)
+    for col, s in enumerate(basis.states):
+        h = s[:-1]
+        for row, s2 in enumerate(basis.states):
+            hp = s2[:-1]
+            w = 1.0 + 0j
+            for j in range(L):
+                w *= diamond(hp[j - 1], h[j], h[(j + 1) % L], hp[j])
+            T[row, col] = w
+    return T
+
+
+@pytest.mark.parametrize("cat, rho, L", [
+    (bx.build_su2k(3), 1, 6), (bx.build_su2k(4), 2, 4),
+    (bx.build_tambara_yamagami(3), 3, 4), (bx.build_minimal_A(5), 1, 4)],
+    ids=["su2_3", "su2_4-spin1", "ty_3-X", "minimal_5"])
+def test_projector_matches_literal_loop_periodic(cat, rho, L):
+    basis = enumerate_trees(cat, rho, L, PERIODIC)
+    assert basis.size > 0 and L in basis.site_range()     # the seam is covered
+    for j in basis.site_range():
+        for chi in bx.fusion_product(cat, rho, rho):
+            P = projector_op(cat, rho, chi, j, basis).matrix
+            assert np.max(np.abs(P - literal_projector(cat, rho, chi, j, basis))) < 1e-13
+
+
+@pytest.mark.parametrize("cat, rho, phi, L", [
+    (bx.build_su2k(3), 1, 2, 4), (bx.build_su2k(3), 1, 2, 6), (bx.build_su2k(3), 1, 2, 8),
+    (bx.build_minimal_A(5), 1, 2, 6), (bx.build_tambara_yamagami(4), 4, 1, 4)],
+    ids=["su2_3-L4", "su2_3-L6", "su2_3-L8", "minimal_5-L6", "ty_4-X-L4"])
+def test_transfer_matches_literal_loop(cat, rho, phi, L):
+    sol = bx.solve_central(cat, rho, phi)
+    basis = enumerate_trees(cat, rho, L, PERIODIC)
+    assert basis.size > 0
+    for mu in (1.3 + 0.4j, 0.6 - 0.9j):
+        T = transfer_matrix(sol, mu, basis).matrix
+        oracle = literal_transfer(sol, mu, basis)
+        # entries reach 5e5 at L = 8, so the bound scales with the largest one
+        assert np.max(np.abs(T - oracle)) < 1e-13 * max(1.0, np.max(np.abs(oracle)))
+
+
+def test_r_and_braid_are_weighted_projector_sums_three_channels():
+    cat = bx.build_su2k(4)
+    rho = 2                                   # spin 1: channels 0, 1 and 2
+    chans = bx.fusion_product(cat, rho, rho)
+    assert len(chans) == 3
+    sol = bx.solve_central(cat, rho, 2)
+    basis = enumerate_trees(cat, rho, 4, OPEN_ALL)
+    for j in basis.site_range():
+        P = {c: projector_op(cat, rho, c, j, basis).matrix for c in chans}
+        tw = {c: bx.twist_factor(cat, c, rho, rho) for c in chans}
+        over = sum(tw[c] * P[c] for c in chans)
+        under = sum(P[c] / tw[c] for c in chans)
+        assert np.max(np.abs(braid_op(cat, rho, j, "over", basis).matrix - over)) < 1e-13
+        assert np.max(np.abs(braid_op(cat, rho, j, "under", basis).matrix - under)) < 1e-13
+        for mu in (2.0, 0.4 + 1.1j):
+            R = sum(bx.amplitude_at(sol, c, mu) * P[c] for c in chans)
+            assert np.max(np.abs(r_op(sol, mu, j, basis).matrix - R)) < 1e-13
+
+
+def test_operators_refuse_a_foreign_strand():
+    # the face table belongs to the basis strand; another rho would read wrong blocks
+    cat = bx.build_su2k(4)
+    basis = enumerate_trees(cat, 1, 4, OPEN_ALL)
+    with pytest.raises(DomainError, match="differs from the basis strand"):
+        projector_op(cat, 2, 0, 1, basis)
+    with pytest.raises(DomainError, match="differs from the basis strand"):
+        braid_op(cat, 2, 1, "over", basis)
+    with pytest.raises(DomainError, match="differs from the basis strand"):
+        r_op(bx.solve_central(cat, 2, 2), 2.0, 1, basis)
