@@ -85,6 +85,19 @@ class TwistData:
         return fr
 
 
+_KEY_BITS = 10          # bits per label in a flat F key, so labels stay below 1024
+
+
+def f_keys(x, y, z, w, u, v) -> np.ndarray:
+    """int64 keys of label tuples (x, y, z, w, u, v), ordered as the tuples are."""
+    x, *rest = np.broadcast_arrays(x, y, z, w, u, v)
+    key = x.astype(np.int64)
+    for t in rest:
+        key *= 1 << _KEY_BITS
+        key += t
+    return key
+
+
 class FSymbolTable:
     """Sparse block storage for [F^{xyz}_w]_{uv}.
 
@@ -103,17 +116,63 @@ class FSymbolTable:
     def blocks(self):
         return self._load()
 
+    @functools.cached_property
+    def _positions(self):
+        # (x, y, z, w) -> ({u: row}, {v: column}, matrix); blocks share the
+        # maps of equal label tuples
+        maps = {}
+        for us, vs, _ in self.blocks.values():
+            for labels in (us, vs):
+                if labels not in maps:
+                    maps[labels] = {x: i for i, x in enumerate(labels)}
+        return {key: (maps[us], maps[vs], mat) for key, (us, vs, mat) in self.blocks.items()}
+
+    @functools.cached_property
+    def flat(self):
+        """Every entry as read-only (keys, values): the sorted `f_keys` of the
+        (x, y, z, w, u, v) tuples and their values, closed by a sentinel key
+        above all others with value 0."""
+        size = sum(len(us) * len(vs) for us, vs, _ in self.blocks.values())
+        labels = np.fromiter((t for key, (us, vs, _) in self.blocks.items()
+                              for u in us for v in vs for t in (*key, u, v)),
+                             dtype=np.int64, count=6 * size).reshape(-1, 6)
+        if labels.size and labels.max() >> _KEY_BITS:
+            raise CapabilityError(f"F table labels reach {labels.max()}; "
+                                  f"the flat index holds labels below {1 << _KEY_BITS}")
+        keys = f_keys(*labels.T)
+        vals = np.fromiter((z for _, _, mat in self.blocks.values() for z in mat.ravel().tolist()),
+                           dtype=complex, count=size)
+        if not np.all(keys[1:] > keys[:-1]):        # the built-in tables come sorted
+            order = np.argsort(keys)
+            keys, vals = keys[order], vals[order]
+        keys = np.append(keys, np.iinfo(np.int64).max)
+        vals = np.append(vals, 0)
+        keys.setflags(write=False)
+        vals.setflags(write=False)
+        return keys, vals
+
+    def gather(self, x, y, z, w, u, v) -> np.ndarray:
+        """[F^{xyz}_w]_{uv} over label arrays, 0 where the table has no entry."""
+        keys, vals = self.flat
+        q = f_keys(x, y, z, w, u, v)
+        pos = np.searchsorted(keys, q)
+        out = vals[pos]
+        out[keys[pos] != q] = 0
+        return out
+
     def block(self, x, y, z, w):
         return self.blocks.get((x, y, z, w))
 
     def block_value(self, x, y, z, w, u, v):
-        blk = self.blocks.get((x, y, z, w))
+        """[F^{xyz}_w]_{uv}, or None when the table has no such entry."""
+        blk = self._positions.get((x, y, z, w))
         if blk is None:
             return None
-        us, vs, mat = blk
-        if u not in us or v not in vs:
+        rows, cols, mat = blk
+        i, j = rows.get(u), cols.get(v)
+        if i is None or j is None:
             return None
-        return complex(mat[us.index(u), vs.index(v)])
+        return complex(mat[i, j])
 
     def value(self, r, s, a, b, t, tp) -> complex:
         """F_{tt'}[r s; a b]; zero when inadmissible."""
@@ -297,41 +356,91 @@ def twist_edge_ratio(cat: CategoryData, rho, a, b) -> complex:
 # F-symbol identity checks
 
 
+def _fusion_csr(rules: FusionRules):
+    """The admissible triples (x, y, z) as rows in lexicographic order, and
+    `ptr` with the rows of x*n + y at ptr[x*n + y]:ptr[x*n + y + 1]; those of
+    x alone are at ptr[x*n]:ptr[(x + 1)*n]."""
+    n = rules.n_objects
+    trip = np.argwhere(rules.N)
+    return trip, np.searchsorted(trip[:, 0] * n + trip[:, 1], np.arange(n * n + 1))
+
+
+def _ranges(start, count):
+    """(i, t) for every t in start[i]:start[i] + count[i], in order."""
+    i = np.repeat(np.arange(len(start)), count)
+    return i, np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
+
+
+def _join(tup, ptr, p, rows, cols):
+    """Each row i of `tup` followed by columns `cols` of rows[ptr[p_i]:ptr[p_i + 1]],
+    one output row per match, in order."""
+    i, t = _ranges(ptr[p], ptr[p + 1] - ptr[p])
+    return np.column_stack((tup[i], rows[t, cols]))
+
+
+def _cmul(x, y):
+    """x * y by the real operations of Python's complex product.  With `_cabs`,
+    the modulus as Python's abs rounds it, this keeps the residuals equal to a
+    scalar loop's bit for bit (numpy's complex multiply and abs may round
+    differently), so ties pick the same worst tuple."""
+    out = np.empty(len(x), dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
+
+
+def _cabs(z):
+    return np.hypot(z.real, z.imag)
+
+
+def _fold_worst(res, worst, where, tag):
+    """Fold residuals listed in loop order into the running (worst, where):
+    the first maximum wins, as a strict `>` scan would find it.  A NaN
+    residual, from a NaN in F, counts as infinite, so such a table fails."""
+    if len(res):
+        m = int(np.argmax(res))             # the first NaN, if there is one
+        r = math.inf if math.isnan(res[m]) else float(res[m])
+        if r > worst:
+            return r, tag(m)
+    return worst, where
+
+
 def _pentagon_residual(cat: CategoryData, f: FSymbolTable):
-    """Max |pentagon defect| with the offending label tuple."""
-    n = cat.n_objects
-    rules = cat.rules
-    fv = f.block_value
+    """Max |pentagon defect| with the offending label tuple.
+
+    The tuples run over f in a x b, g in f x c, e in g x d, l in c x d and
+    k in b x l with e in a x k, and each must satisfy
+
+        [F^{fcd}_e]_{gl} [F^{abl}_e]_{fk}
+            = sum_{h in b x c} [F^{abc}_g]_{fh} [F^{ahd}_e]_{gk} [F^{bcd}_k]_{hl}.
+
+    For each outer (a, b, f) the tuples (c, g, d, e, l, k) are joined from the
+    fusion triples in loop order, so the arrays stay small, and e in a x k is
+    tested as soon as k is joined.
+    """
+    n, N = cat.n_objects, cat.rules.N
+    trip, ptr = _fusion_csr(cat.rules)
+    ptr1 = ptr[::n]
+    gather = f.gather
     worst, where = 0.0, None
-    rng = range(n)
-    for a, b in itertools.product(rng, repeat=2):
-        for fa in rules.fusion(a, b):
-            for c in rng:
-                for g in rules.fusion(fa, c):
-                    for d in rng:
-                        for e in rules.fusion(g, d):
-                            for l in rules.fusion(c, d):
-                                for kk in rules.fusion(b, l):
-                                    if not rules.N[a, kk, e]:
-                                        continue
-                                    v1 = fv(fa, c, d, e, g, l)
-                                    v2 = fv(a, b, l, e, fa, kk)
-                                    lhs = (v1 or 0j) * (v2 or 0j)
-                                    rhs = 0j
-                                    for h in rules.fusion(b, c):
-                                        t1 = fv(a, b, c, g, fa, h)
-                                        if t1 is None:
-                                            continue
-                                        t2 = fv(a, h, d, e, g, kk)
-                                        if t2 is None:
-                                            continue
-                                        t3 = fv(b, c, d, kk, h, l)
-                                        if t3 is None:
-                                            continue
-                                        rhs += t1 * t2 * t3
-                                    r = abs(lhs - rhs)
-                                    if r > worst:
-                                        worst, where = r, (a, b, c, d, e, fa, g, l, kk)
+    for a, b, fa in trip.tolist():
+        T = trip[ptr1[fa]:ptr1[fa + 1], 1:]                              # c, g
+        T = _join(T, ptr1, T[:, 1], trip, slice(1, 3))                   # d, e
+        T = _join(T, ptr, T[:, 0] * n + T[:, 2], trip, slice(2, 3))      # l
+        T = _join(T, ptr, b * n + T[:, 4], trip, slice(2, 3))            # k
+        T = T[N[a, T[:, 5], T[:, 3]] != 0]
+        c, g, d, e, l, k = T.T
+        lhs = _cmul(gather(fa, c, d, e, g, l), gather(a, b, l, e, fa, k))
+        i, t = _ranges(ptr[b * n + c], ptr[b * n + c + 1] - ptr[b * n + c])
+        h = trip[t, 2]
+        terms = _cmul(_cmul(gather(a, b, c[i], g[i], fa, h),
+                            gather(a, h, d[i], e[i], g[i], k[i])),
+                      gather(b, c[i], d[i], k[i], h, l[i]))
+        rhs = np.empty(len(T), dtype=complex)
+        rhs.real = np.bincount(i, terms.real, len(T))
+        rhs.imag = np.bincount(i, terms.imag, len(T))
+        worst, where = _fold_worst(_cabs(lhs - rhs), worst, where, lambda m: tuple(
+            int(x) for x in (a, b, c[m], d[m], e[m], fa, g[m], l[m], k[m])))
     return worst, where
 
 
@@ -341,43 +450,41 @@ def _f0_residual(cat: CategoryData, f: FSymbolTable):
 
     The square-root identities come from closing an (r, r) bubble and so only
     make sense when 0 sits in r x r; non-self-dual labels are outside their
-    domain.
+    domain.  Worst tuples are taken in the order of the loop: per (a, r) the
+    blocks [F^{ar0}_b], then the s0 entries; then the 0s entries.
     """
-    n, rules, d = cat.n_objects, cat.rules, cat.dims
-    worst, where = 0.0, None
-    for a, r in itertools.product(range(n), repeat=2):
-        for b in rules.fusion(a, r):
-            blk = f.block(a, r, 0, b)
-            if blk is None:
-                r_ = 1.0
-                wh = (a, r, b, "missing")
-            else:
-                us, vs, mat = blk
-                tgt = np.zeros_like(mat)
-                if b in us and r in vs:
-                    tgt[us.index(b), vs.index(r)] = 1.0
-                r_ = float(np.max(np.abs(mat - tgt)))
-                wh = (a, r, b)
-            if r_ > worst:
-                worst, where = r_, wh
-        if rules.dual[r] != r:
-            continue
-        for s in rules.fusion(a, r):
-            v = f.block_value(a, r, r, a, s, 0)
-            tgt = math.sqrt(d[s] / (d[a] * d[r]))
-            r_ = abs((v if v is not None else 0.0) - tgt)
-            if r_ > worst:
-                worst, where = r_, (a, r, s, "s0")
-    for r in range(n):
-        if rules.dual[r] != r:
-            continue
-        for s in rules.fusion(r, r):
-            v = f.block_value(r, r, r, r, 0, s)
-            tgt = math.sqrt(d[s] / (d[r] * d[r]))
-            r_ = abs((v if v is not None else 0.0) - tgt)
-            if r_ > worst:
-                worst, where = r_, (r, s, "0s")
-    return worst, where
+    n, d = cat.n_objects, cat.dims.d
+    selfdual = np.array(cat.rules.dual) == np.arange(n)
+    trip, ptr = _fusion_csr(cat.rules)
+    m = len(trip)
+    a, r, b = trip.T
+    # block [F^{ar0}_b]: its entries' distance from the unit at (b, r), or 1 if absent
+    keys, vals = f.flat
+    lo = np.searchsorted(keys, f_keys(a, r, 0, b, 0, 0))
+    hi = np.searchsorted(keys, f_keys(a, r, 0, b + 1, 0, 0))
+    _, y, _, w, u, v = (keys[:, None] >> _KEY_BITS * np.arange(5, -1, -1)
+                        & (1 << _KEY_BITS) - 1).T                    # each key's labels
+    dist = np.abs(vals - ((u == w) & (v == y)))
+    blk = np.where(lo == hi, 1.0, np.maximum.reduceat(dist, np.stack((lo, hi), 1).ravel())[::2])
+    s0 = np.where(selfdual[r], _cabs(f.gather(a, r, r, a, b, 0)
+                                     - np.sqrt(d[b] / (d[a] * d[r]))), 0.0)
+    # loop order: per (a, r), its blocks, then its s0 entries
+    start = ptr[a * n + r]
+    order = np.empty(2 * m, dtype=np.int64)
+    order[start + np.arange(m)] = np.arange(m)
+    order[ptr[a * n + r + 1] + np.arange(m)] = np.arange(m, 2 * m)
+
+    def tag(j):
+        t = order[j] % m
+        head = (int(a[t]), int(r[t]), int(b[t]))
+        if order[j] >= m:
+            return head + ("s0",)
+        return head + (("missing",) if lo[t] == hi[t] else ())
+
+    worst, where = _fold_worst(np.concatenate((blk, s0))[order], 0.0, None, tag)
+    rr, s = trip[(a == r) & selfdual[r]][:, 1:].T
+    res = _cabs(f.gather(rr, rr, rr, rr, 0, s) - np.sqrt(d[s] / (d[rr] * d[rr])))
+    return _fold_worst(res, worst, where, lambda j: (int(rr[j]), int(s[j]), "0s"))
 
 
 def _usefulid_residual(cat: CategoryData, f: FSymbolTable):
@@ -385,26 +492,30 @@ def _usefulid_residual(cat: CategoryData, f: FSymbolTable):
     sqrt(d_A d_B / d_c) F_{Gc}[a b; B A] equals sqrt(d_G d_B / d_a) F_{Aa}[b c; G B].
 
     Checked on all-self-dual label tuples, the domain of the unoriented
-    triangle re-slicing it encodes.
+    triangle re-slicing it encodes.  The tuples (a, b, c, G, A, B) are joined
+    from the self-dual fusion triples one a at a time, in the loop order
+    a, b, c; G, A with b in G x A; B in a x G with c in B x A.
     """
-    n, rules, d = cat.n_objects, cat.rules, cat.dims
-    selfdual = [x for x in range(n) if rules.dual[x] == x]
+    n, N, d = cat.n_objects, cat.rules.N, cat.dims.d
+    selfdual = np.array(cat.rules.dual) == np.arange(n)
+    trip, ptr = _fusion_csr(cat.rules)
+    sd = trip[selfdual[trip].all(axis=1)]
+    by_b = np.argwhere(N.transpose(2, 0, 1))                       # (b, G, A)
+    by_b = by_b[selfdual[by_b].all(axis=1)]
+    ptr_b = np.searchsorted(by_b[:, 0], np.arange(n + 1))
     worst, where = 0.0, None
-    for a, b, c in itertools.product(selfdual, repeat=3):
-        if not rules.N[a, b, c]:
-            continue
-        for G, A in itertools.product(selfdual, repeat=2):
-            if not rules.N[G, A, b]:
-                continue
-            for B in rules.fusion(a, G):
-                if rules.dual[B] != B or not rules.N[B, A, c]:
-                    continue
-                e1 = math.sqrt(d[A] * d[G] / d[b]) * f.value(G, A, a, c, B, b)
-                e2 = math.sqrt(d[A] * d[B] / d[c]) * f.value(a, b, B, A, G, c)
-                e3 = math.sqrt(d[G] * d[B] / d[a]) * f.value(b, c, G, B, A, a)
-                r_ = max(abs(e1 - e2), abs(e1 - e3))
-                if r_ > worst:
-                    worst, where = r_, (a, b, c, G, A, B)
+    for a in range(n):
+        T = sd[sd[:, 0] == a]                                          # a, b, c
+        T = _join(T, ptr_b, T[:, 1], by_b, slice(1, 3))                # G, A
+        T = _join(T, ptr, a * n + T[:, 3], trip, slice(2, 3))          # B
+        T = T[selfdual[T[:, 5]] & (N[T[:, 5], T[:, 4], T[:, 2]] != 0)]
+        _, b, c, G, A, B = T.T
+        e1 = np.sqrt(d[A] * d[G] / d[b]) * f.gather(a, G, A, c, B, b)
+        e2 = np.sqrt(d[A] * d[B] / d[c]) * f.gather(B, a, b, A, G, c)
+        e3 = np.sqrt(d[G] * d[B] / d[a]) * f.gather(G, b, c, B, A, a)
+        res = np.maximum(_cabs(e1 - e2), _cabs(e1 - e3))
+        worst, where = _fold_worst(res, worst, where, lambda m: tuple(
+            int(x) for x in (a, b[m], c[m], G[m], A[m], B[m])))
     return worst, where
 
 

@@ -17,6 +17,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .category import FSymbolTable
+
 
 def q_int(n: int, k: int) -> float:
     return math.sin(n * math.pi / (k + 2)) / math.sin(math.pi / (k + 2))
@@ -140,16 +142,6 @@ def _gauge_bit_indices(x, y, z, w, u, v, vid, xi):
     return idxs
 
 
-def _entry(blocks, x, y, z, w, u, v):
-    blk = blocks.get((x, y, z, w))
-    if blk is None:
-        return None
-    us, vs, mat = blk
-    if u not in us or v not in vs:
-        return None
-    return mat[us.index(u), vs.index(v)]
-
-
 def _sign_system(k: int, blocks: dict):
     """Constraints pinning the convention:
       - F_{tt'}[r 0; a b] = +1 on its support,
@@ -167,17 +159,18 @@ def _sign_system(k: int, blocks: dict):
     xi = len(verts)
     sys2 = _GF2System(xi + 1)
     eps = 1e-10
+    entry = FSymbolTable(blocks).block_value
 
     def bit(val):
-        return 0 if val > 0 else 1
+        return 0 if val.real > 0 else 1
 
     def fix_sign(x, y, z, w, u, v, target_bit):
-        val = _entry(blocks, x, y, z, w, u, v)
+        val = entry(x, y, z, w, u, v)
         sys2.add(_gauge_bit_indices(x, y, z, w, u, v, vid, xi), bit(val) ^ target_bit)
 
     def same_sign(t1, u1, v1, t2, u2, v2, w1=1.0, w2=1.0):
-        a = _entry(blocks, *t1, u1, v1)
-        b = _entry(blocks, *t2, u2, v2)
+        a = entry(*t1, u1, v1)
+        b = entry(*t2, u2, v2)
         a = None if a is None else w1 * a
         b = None if b is None else w2 * b
         if a is None or b is None or (abs(a) < eps and abs(b) < eps):

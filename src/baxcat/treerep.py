@@ -25,6 +25,8 @@ from .report import fmt_complex
 OPEN = "open"
 OPEN_ALL = "open_all"
 PERIODIC = "periodic"
+# largest basis a dense operator may act on: 256 MB per n x n complex matrix
+MAX_DENSE_DIM = 4096
 
 
 class FusionTreeBasis:
@@ -32,7 +34,8 @@ class FusionTreeBasis:
     `states` and as a dim x (L+1) int array in `heights`.
 
     Immutable after construction; the read-only face tensor is built from the
-    F blocks when the first operator on the basis needs it.
+    F blocks when the first operator on the basis needs it, and the state
+    pairs of a site when the first operator at that site needs them.
     """
 
     def __init__(self, cat: CategoryData, rho, L, bc, boundary=None):
@@ -56,6 +59,7 @@ class FusionTreeBasis:
         self.index = {s: i for i, s in enumerate(self.states)}
         self.heights = np.array(self.states, dtype=int).reshape(self.size, L + 1)
         self.heights.setflags(write=False)
+        self._pairs = {}
 
     def _steps(self, h):
         N = self.cat.rules.N
@@ -92,6 +96,27 @@ class FusionTreeBasis:
         if j not in self.site_range():
             raise DomainError(f"site {j} outside {list(self.site_range())} for bc={self.bc}")
         return j
+
+    def check_dense(self):
+        """Refuse a basis too large for dense n x n operators."""
+        if self.size > MAX_DENSE_DIM:
+            raise DomainError(
+                f"basis dimension {self.size} exceeds the dense-operator budget of "
+                f"{MAX_DENSE_DIM} states ({self.size ** 2 * 16 / 1e9:.1f} GB per complex "
+                f"matrix); use a smaller L or strand")
+
+    def site_pairs(self, j):
+        """Read-only (r, c) index arrays of the state pairs that agree off site j
+        (and off h_0 = h_L at the periodic seam j = L), in row-major order."""
+        if j not in self._pairs:
+            seam = self.bc == PERIODIC and j == self.L
+            rest = np.delete(self.heights, [0, j] if seam else [j], axis=1)
+            cls = np.unique(rest, axis=0, return_inverse=True)[1].reshape(-1)
+            pairs = np.nonzero(cls[:, None] == cls)
+            for arr in pairs:
+                arr.setflags(write=False)
+            self._pairs[j] = pairs
+        return self._pairs[j]
 
     @functools.cached_property
     def face(self) -> np.ndarray:
@@ -146,12 +171,11 @@ def _site_op(basis: FusionTreeBasis, rho, coeffs, j, name) -> LinearOp:
     """M[r, c] = W[h_{j-1}(c), h_{j+1}(c), h_j(r), h_j(c)] wherever states r and
     c agree off site j (and off h_0 = h_L at the periodic seam j = L)."""
     basis.check_site(j)
+    basis.check_dense()
     W = face_weights(basis, rho, coeffs)
     H = basis.heights
     seam = basis.bc == PERIODIC and j == basis.L
-    rest = np.delete(H, [0, j] if seam else [j], axis=1)
-    cls = np.unique(rest, axis=0, return_inverse=True)[1].reshape(-1)
-    r, c = np.nonzero(cls[:, None] == cls)
+    r, c = basis.site_pairs(j)
     M = np.zeros((basis.size, basis.size), dtype=complex)
     M[r, c] = W[H[c, j - 1], H[c, 1 if seam else j + 1], H[r, j], H[c, j]]
     return LinearOp(basis, M, (j,), name)
@@ -203,6 +227,7 @@ def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> 
     """
     if basis.bc != PERIODIC:
         raise DomainError("transfer matrix needs a periodic basis")
+    basis.check_dense()
     n, L = basis.size, basis.L
     if L == 0:
         return LinearOp(basis, np.eye(n, dtype=complex), (), "T")

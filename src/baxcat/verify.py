@@ -203,6 +203,7 @@ def verify_braid_limits(cat: CategoryData, rho, solution: AmplitudeSolution,
     """R(1) proportional to the identity; R at extreme mu proportional to one
     of the braid generators.  Which sense matches is recorded, not asserted."""
     basis = enumerate_trees(cat, rho, L, OPEN_ALL)
+    basis.check_dense()
     eye = np.eye(basis.size)
     rep = VerificationReport(
         "braid_limits", params={"category": cat.name, "rho": cat.display(rho),
@@ -267,6 +268,7 @@ def verify_braid_relations(cat: CategoryData, rho, L=5, tol=1e-9) -> Verificatio
     """Reidemeister II and III for the twist-weighted braid generators."""
     basis = enumerate_trees(cat, rho, L, OPEN_ALL)
     sites = list(basis.site_range())
+    basis.check_dense()
     eye = np.eye(basis.size)
     B = {j: braid_op(cat, rho, j, "over", basis).matrix for j in sites}
     Bb = {j: braid_op(cat, rho, j, "under", basis).matrix for j in sites}

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import baxcat as bx
-from baxcat.category import FusionRules, _phase
+from baxcat.category import (FSymbolTable, FusionRules, _pentagon_residual, _phase,
+                             _usefulid_residual)
 from baxcat.errors import AxiomError, CapabilityError, DomainError
 
 
@@ -324,3 +325,124 @@ def test_from_json_rejects_malformed(edit, where, error):
 def test_from_json_rejects_non_documents(text):
     with pytest.raises(DomainError):
         bx.category_from_json(text)
+
+
+def literal_pentagon(cat):
+    """{(a, b, c, d, e, f, g, l, k): |pentagon defect|} in loop order, one
+    F lookup per term."""
+    rules, fv = cat.rules, cat.f.block_value
+    rng = range(cat.n_objects)
+    out = {}
+    for a, b in itertools.product(rng, repeat=2):
+        for fa in rules.fusion(a, b):
+            for c in rng:
+                for g in rules.fusion(fa, c):
+                    for d in rng:
+                        for e in rules.fusion(g, d):
+                            for l in rules.fusion(c, d):
+                                for k in rules.fusion(b, l):
+                                    if not rules.N[a, k, e]:
+                                        continue
+                                    lhs = (fv(fa, c, d, e, g, l) or 0j) * (fv(a, b, l, e, fa, k) or 0j)
+                                    rhs = 0j
+                                    for h in rules.fusion(b, c):
+                                        t1 = fv(a, b, c, g, fa, h)
+                                        t2 = fv(a, h, d, e, g, k)
+                                        t3 = fv(b, c, d, k, h, l)
+                                        if None not in (t1, t2, t3):
+                                            rhs += t1 * t2 * t3
+                                    out[(a, b, c, d, e, fa, g, l, k)] = abs(lhs - rhs)
+    return out
+
+
+def literal_rotation(cat):
+    """{(a, b, c, G, A, B): rotation-identity residual} in loop order."""
+    rules, d, fv = cat.rules, cat.dims, cat.f.value
+    selfdual = [x for x in range(cat.n_objects) if rules.dual[x] == x]
+    out = {}
+    for a, b, c in itertools.product(selfdual, repeat=3):
+        if not rules.N[a, b, c]:
+            continue
+        for G, A in itertools.product(selfdual, repeat=2):
+            if not rules.N[G, A, b]:
+                continue
+            for B in rules.fusion(a, G):
+                if rules.dual[B] != B or not rules.N[B, A, c]:
+                    continue
+                e1 = math.sqrt(d[A] * d[G] / d[b]) * fv(G, A, a, c, B, b)
+                e2 = math.sqrt(d[A] * d[B] / d[c]) * fv(a, b, B, A, G, c)
+                e3 = math.sqrt(d[G] * d[B] / d[a]) * fv(b, c, G, B, A, a)
+                out[(a, b, c, G, A, B)] = max(abs(e1 - e2), abs(e1 - e3))
+    return out
+
+
+def _first_worst(residuals):
+    worst, where = 0.0, None
+    for tup, r in residuals.items():
+        if r > worst:
+            worst, where = r, tup
+    return worst, where
+
+
+_ORACLE_CASES = ([bx.build_su2k(k) for k in range(2, 7)]
+                 + [bx.build_minimal_A(k) for k in (4, 6)]
+                 + [bx.build_tambara_yamagami(M) for M in range(2, 11)])
+
+
+@pytest.mark.parametrize("cat", _ORACLE_CASES, ids=lambda c: c.name)
+def test_identity_checks_match_the_literal_loops(cat):
+    for literal, fast in ((literal_pentagon, _pentagon_residual),
+                          (literal_rotation, _usefulid_residual)):
+        residuals = literal(cat)
+        worst, where = fast(cat, cat.f)
+        top = max(residuals.values(), default=0.0)
+        assert abs(worst - top) < 1e-14
+        if where is not None:
+            assert residuals[where] > top - 1e-15
+
+
+@pytest.mark.parametrize("build, arg", [(bx.build_su2k, 4), (bx.build_tambara_yamagami, 5)])
+def test_identity_checks_find_the_literal_worst_tuple_of_a_corruption(build, arg):
+    cat = build(arg)
+    keys = sorted(cat.f.blocks)
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        key = keys[rng.integers(len(keys))]
+        us, vs, mat = cat.f.blocks[key]
+        mat = mat.copy()
+        mat[rng.integers(len(us)), rng.integers(len(vs))] *= 1.5 + 0.25j
+        blocks = {**cat.f.blocks, key: (us, vs, mat)}
+        bad = bx.CategoryData(cat.name, cat.labels, cat.twists, rules=cat.rules,
+                              dims=cat.dims, f=FSymbolTable(blocks))
+        for literal, fast in ((literal_pentagon, _pentagon_residual),
+                              (literal_rotation, _usefulid_residual)):
+            worst, where = _first_worst(literal(bad))
+            got, got_where = fast(bad, bad.f)
+            assert got_where == where
+            assert abs(got - worst) < 1e-12
+
+
+def test_f_lookups_read_absent_entries_as_missing_or_zero():
+    f = bx.build_su2k(2).f
+    us, vs, mat = f.block(1, 1, 1, 1)
+    assert f.block_value(1, 1, 1, 1, us[1], vs[0]) == complex(mat[1, 0])
+    assert f.block_value(1, 1, 1, 1, 1, 0) is None          # u = 1/2 not in 1/2 x 1/2
+    assert f.block_value(1, 1, 1, 2, 0, 0) is None          # no such block
+    got = f.gather([1, 1, 1], 1, 1, [1, 1, 2], [us[1], 1, 0], [vs[0], 0, 0])
+    assert got.tolist() == [complex(mat[1, 0]), 0j, 0j]
+    keys, vals = f.flat
+    assert not keys.flags.writeable and not vals.flags.writeable
+    assert np.all(keys[1:] > keys[:-1])
+    # an unsorted table indexes the same entries
+    shuffled = FSymbolTable(dict(reversed(list(f.blocks.items()))))
+    assert np.array_equal(shuffled.flat[0], keys) and np.array_equal(shuffled.flat[1], vals)
+
+
+def test_a_nan_in_f_fails_the_identity_checks():
+    doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
+    doc["F"][5][6] = ["nan", "0"]
+    rep = bx.check_f_identities(bx.category_from_json(json.dumps(doc)))
+    for name in ("pentagon", "rotation"):
+        check = rep.check(name)
+        assert check.residual == math.inf and not check.passed
+        assert check.details["worst_tuple"]

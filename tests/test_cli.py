@@ -4,6 +4,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -154,6 +155,17 @@ def test_bad_input_exits_2(args, tmp_path):
     assert rc == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_dense_budget_refuses_a_large_basis_with_exit_2():
+    # dim 17,994: one dense operator would need 5.2 GB
+    t = time.perf_counter()
+    rc, _, err = run_cli(["verify", "projectors", "--family", "su2", "--level", "5",
+                          "--rho", "1", "--L", "10"])
+    assert rc == 2
+    assert "17994" in err and "4096" in err
+    assert "Traceback" not in err
+    assert time.perf_counter() - t < 30
 
 
 def _no_f(*args):

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import baxcat as bx
+from baxcat import treerep
 from baxcat.errors import CapabilityError, DomainError, PoleError
 from baxcat.treerep import (OPEN, OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
-                            projector_op, r_op, transfer_matrix)
+                            face_weights, projector_op, r_op, transfer_matrix)
 
 
 def adjacency_matrix(cat, rho):
@@ -401,3 +402,45 @@ def test_operators_refuse_a_foreign_strand():
         braid_op(cat, 2, 1, "over", basis)
     with pytest.raises(DomainError, match="differs from the basis strand"):
         r_op(bx.solve_central(cat, 2, 2), 2.0, 1, basis)
+
+
+def test_site_pairs_are_computed_once_per_site():
+    cat = bx.build_su2k(5)
+    rho = 2
+    sol = bx.solve_central(cat, rho, 2)
+    for basis, j in ((enumerate_trees(cat, rho, 4, OPEN_ALL), 2),
+                     (enumerate_trees(cat, rho, 4, PERIODIC), 4)):
+        first = r_op(sol, 1.3 + 0.2j, j, basis).matrix
+        pairs = basis.site_pairs(j)
+        second = r_op(sol, 1.3 + 0.2j, j, basis).matrix
+        assert basis.site_pairs(j) is pairs
+        assert all(a is b for a, b in zip(basis.site_pairs(j), pairs))
+        assert not any(arr.flags.writeable for arr in pairs)
+        projector_op(cat, rho, 0, j, basis)
+        assert basis.site_pairs(j) is pairs
+        # the class partition each call used to recompute
+        seam = basis.bc == PERIODIC and j == basis.L
+        rest = np.delete(basis.heights, [0, j] if seam else [j], axis=1)
+        cls = np.unique(rest, axis=0, return_inverse=True)[1].reshape(-1)
+        r, c = np.nonzero(cls[:, None] == cls)
+        assert np.array_equal(pairs[0], r) and np.array_equal(pairs[1], c)
+        amps = {chi: bx.amplitude_at(sol, chi, 1.3 + 0.2j) for chi in sol.channels}
+        W = face_weights(basis, rho, amps)
+        H = basis.heights
+        want = np.zeros_like(first)
+        want[r, c] = W[H[c, j - 1], H[c, 1 if seam else j + 1], H[r, j], H[c, j]]
+        assert np.max(np.abs(first - want)) <= 1e-15
+        assert np.max(np.abs(second - want)) <= 1e-15
+
+
+def test_dense_operators_refuse_a_basis_over_the_budget(monkeypatch):
+    cat = bx.build_su2k(3)
+    basis = enumerate_trees(cat, 1, 6, PERIODIC)
+    sol = bx.solve_central(cat, 1, 2)
+    monkeypatch.setattr(treerep, "MAX_DENSE_DIM", basis.size - 1)
+    for build in (lambda: r_op(sol, 2.0, 1, basis), lambda: transfer_matrix(sol, 2.0, basis),
+                  lambda: projector_op(cat, 1, 0, 1, basis)):
+        with pytest.raises(DomainError, match=f"dimension {basis.size} exceeds .* {basis.size - 1}"):
+            build()
+    monkeypatch.setattr(treerep, "MAX_DENSE_DIM", basis.size)
+    assert transfer_matrix(sol, 2.0, basis).dim == basis.size
