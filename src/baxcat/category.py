@@ -30,8 +30,6 @@ import numpy as np
 from .errors import AxiomError, CapabilityError, DomainError
 from .report import VerificationReport, fmt_complex, fmt_float
 
-DEFAULT_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class ObjectLabel:
@@ -49,9 +47,6 @@ class FusionRules:
 
     def fusion(self, a, b):
         return [c for c in range(self.n_objects) if self.N[a, b, c]]
-
-    def admissible(self, a, b, c) -> bool:
-        return bool(self.N[a, b, c])
 
     def nhat(self, a) -> np.ndarray:
         # (N_a)_b^c = N_{ab}^c
@@ -88,18 +83,21 @@ class TwistData:
 _KEY_BITS = 10          # bits per label in a flat F key, so labels stay below 1024
 
 
-def f_keys(x, y, z, w, u, v) -> np.ndarray:
-    """int64 keys of label tuples (x, y, z, w, u, v), ordered as the tuples are."""
-    x, *rest = np.broadcast_arrays(x, y, z, w, u, v)
-    key = x.astype(np.int64)
-    for t in rest:
-        key *= 1 << _KEY_BITS
-        key += t
-    return key
+def f_keys(x, y, z, w, u, v):
+    """Keys of label tuples (x, y, z, w, u, v), ordered as the tuples are; the
+    labels are ints (giving an int) or int64 arrays (giving an int64 array)."""
+    s = 1 << _KEY_BITS
+    return ((((x * s + y) * s + z) * s + w) * s + u) * s + v
+
+
+def f_labels(keys) -> np.ndarray:
+    """The (x, y, z, w, u, v) rows of an int64 key array, inverse of `f_keys`."""
+    return keys[:, None] >> _KEY_BITS * np.arange(5, -1, -1) & (1 << _KEY_BITS) - 1
 
 
 class FSymbolTable:
-    """Sparse block storage for [F^{xyz}_w]_{uv}.
+    """Sparse storage for [F^{xyz}_w]_{uv}: unitary blocks, indexed once as
+    `flat`.
 
     Takes the blocks themselves or a zero-argument loader returning them; a
     loader runs on the first read of `blocks` and its result is kept.
@@ -115,17 +113,6 @@ class FSymbolTable:
     @functools.cached_property
     def blocks(self):
         return self._load()
-
-    @functools.cached_property
-    def _positions(self):
-        # (x, y, z, w) -> ({u: row}, {v: column}, matrix); blocks share the
-        # maps of equal label tuples
-        maps = {}
-        for us, vs, _ in self.blocks.values():
-            for labels in (us, vs):
-                if labels not in maps:
-                    maps[labels] = {x: i for i, x in enumerate(labels)}
-        return {key: (maps[us], maps[vs], mat) for key, (us, vs, mat) in self.blocks.items()}
 
     @functools.cached_property
     def flat(self):
@@ -151,40 +138,24 @@ class FSymbolTable:
         vals.setflags(write=False)
         return keys, vals
 
+    @functools.cached_property
+    def _values(self):
+        # `flat` as a dict, so a scalar read does no numpy work
+        keys, vals = self.flat
+        return dict(zip(keys[:-1].tolist(), vals[:-1].tolist()))
+
     def gather(self, x, y, z, w, u, v) -> np.ndarray:
         """[F^{xyz}_w]_{uv} over label arrays, 0 where the table has no entry."""
         keys, vals = self.flat
-        q = f_keys(x, y, z, w, u, v)
+        q = f_keys(*(np.asarray(t, dtype=np.int64) for t in (x, y, z, w, u, v)))
         pos = np.searchsorted(keys, q)
         out = vals[pos]
         out[keys[pos] != q] = 0
         return out
 
-    def block(self, x, y, z, w):
-        return self.blocks.get((x, y, z, w))
-
     def block_value(self, x, y, z, w, u, v):
         """[F^{xyz}_w]_{uv}, or None when the table has no such entry."""
-        blk = self._positions.get((x, y, z, w))
-        if blk is None:
-            return None
-        rows, cols, mat = blk
-        i, j = rows.get(u), cols.get(v)
-        if i is None or j is None:
-            return None
-        return complex(mat[i, j])
-
-    def value(self, r, s, a, b, t, tp) -> complex:
-        """F_{tt'}[r s; a b]; zero when inadmissible."""
-        v = self.block_value(a, r, s, b, t, tp)
-        return 0j if v is None else v
-
-    def entries(self):
-        for key in sorted(self.blocks):
-            us, vs, mat = self.blocks[key]
-            for i, u in enumerate(us):
-                for j, v in enumerate(vs):
-                    yield key, u, v, complex(mat[i, j])
+        return self._values.get(f_keys(x, y, z, w, u, v))
 
 
 @dataclass
@@ -306,7 +277,7 @@ def check_fusion_ring(rules: FusionRules) -> VerificationReport:
     return rep
 
 
-def compute_quantum_dims(rules: FusionRules, tol: float = DEFAULT_TOL) -> QuantumDims:
+def compute_quantum_dims(rules: FusionRules) -> QuantumDims:
     """d_a = Perron eigenvalue of the fusion matrix of a; d_0 = 1 exactly."""
     ring = check_fusion_ring(rules)
     if not ring.passed:
@@ -462,8 +433,7 @@ def _f0_residual(cat: CategoryData, f: FSymbolTable):
     keys, vals = f.flat
     lo = np.searchsorted(keys, f_keys(a, r, 0, b, 0, 0))
     hi = np.searchsorted(keys, f_keys(a, r, 0, b + 1, 0, 0))
-    _, y, _, w, u, v = (keys[:, None] >> _KEY_BITS * np.arange(5, -1, -1)
-                        & (1 << _KEY_BITS) - 1).T                    # each key's labels
+    _, y, _, w, u, v = f_labels(keys).T                               # each key's labels
     dist = np.abs(vals - ((u == w) & (v == y)))
     blk = np.where(lo == hi, 1.0, np.maximum.reduceat(dist, np.stack((lo, hi), 1).ravel())[::2])
     s0 = np.where(selfdual[r], _cabs(f.gather(a, r, r, a, b, 0)
@@ -520,15 +490,16 @@ def _usefulid_residual(cat: CategoryData, f: FSymbolTable):
 
 
 def _unitarity_residual(f: FSymbolTable):
-    worst, where = 0.0, None
-    for key in sorted(f.blocks):
+    """Max |U U^dagger - 1| over the blocks, in key order; a NaN counts as
+    infinite and a non-square block as 1."""
+    keys = sorted(f.blocks)
+    res = []
+    for key in keys:
         us, vs, mat = f.blocks[key]
         if len(us) != len(vs):
             return 1.0, key
-        r_ = float(np.max(np.abs(mat @ mat.conj().T - np.eye(len(us))))) if len(us) else 0.0
-        if r_ > worst:
-            worst, where = r_, key
-    return worst, where
+        res.append(np.max(np.abs(mat @ mat.conj().T - np.eye(len(us)))) if len(us) else 0.0)
+    return _fold_worst(np.array(res), 0.0, None, lambda m: keys[m])
 
 
 def check_f_identities(cat: CategoryData, tol: float = 1e-10) -> VerificationReport:
@@ -569,10 +540,9 @@ def category_to_json(cat: CategoryData) -> str:
     if cat.dims is not None:
         doc["d"] = [fmt_float(x) for x in cat.dims.d]
     if cat.f is not None:
-        ftab = []
-        for (x, y, z, w), u, v, val in cat.f.entries():
-            ftab.append([x, y, z, w, u, v, fmt_complex(val)])
-        doc["F"] = ftab
+        keys, vals = cat.f.flat
+        doc["F"] = [[*row, fmt_complex(val)] for row, val in
+                    zip(f_labels(keys[:-1]).tolist(), vals[:-1].tolist())]
     if cat.channels is not None:
         doc["channels"] = list(cat.channels)
         doc["rho"] = cat.rho_declared
@@ -628,9 +598,16 @@ def _convert(key, vals, fn, what):
     return out
 
 
+def _finite(x) -> float:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not finite")
+    return x
+
+
 def _complex_pair(val):
     re, im = val
-    return complex(float(re), float(im))
+    return complex(_finite(re), _finite(im))
 
 
 def category_from_json(text: str) -> CategoryData:
@@ -667,12 +644,13 @@ def category_from_json(text: str) -> CategoryData:
         rules = FusionRules(n, N, tuple(dual))
     dims = None
     if "d" in doc:
-        dims = QuantumDims(np.array(_convert("d", _doc_get(doc, "d", length=n), float,
-                                             "a number")))
+        dims = QuantumDims(np.array(_convert("d", _doc_get(doc, "d", length=n), _finite,
+                                             "a finite number")))
     f = None
     if "F" in doc:
         rows = _check_rows("F", _doc_get(doc, "F"), n, 7, 6)
-        vals = _convert("F", [row[6] for row in rows], _complex_pair, "a [real, imag] pair")
+        vals = _convert("F", [row[6] for row in rows], _complex_pair,
+                        "a finite [real, imag] pair")
         blocks = {}
         for i, (row, val) in enumerate(zip(rows, vals)):
             ents = blocks.setdefault(tuple(row[:4]), {})

@@ -2,9 +2,10 @@
 projectors, braid generators, spectral R-matrices and transfer matrices.
 
 A basis state is a height sequence (h_0, ..., h_L) with every step admissible
-under fusion with rho; periodic bases carry h_L = h_0 explicitly.  Operators
-are dense complex matrices (column index is the input state) gathered from
-one face weight sum_chi c_chi U[h', chi] conj(U[h, chi]) over the blocks
+under fusion with rho, stored as one row of the basis's int array `heights`;
+periodic bases carry h_L = h_0 explicitly.  Operators are dense complex
+matrices (column index is the input state) gathered from one face weight
+sum_chi c_chi U[h', chi] conj(U[h, chi]) over the blocks
 U = [F^{h- rho rho}_{h+}]: c is a unit vector for a projector, the twists
 for a braid and A(mu) for R(mu) and the transfer matrix.
 """
@@ -12,7 +13,6 @@ for a braid and A(mu) for R(mu) and the transfer matrix.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,11 +30,11 @@ MAX_DENSE_DIM = 4096
 
 
 class FusionTreeBasis:
-    """Lexicographically ordered admissible height sequences, as tuples in
-    `states` and as a dim x (L+1) int array in `heights`.
+    """Lexicographically ordered admissible height sequences, the rows of the
+    read-only dim x (L+1) int array `heights`.
 
     Immutable after construction; the read-only face tensor is built from the
-    F blocks when the first operator on the basis needs it, and the state
+    F-symbols when the first operator on the basis needs it, and the state
     pairs of a site when the first operator at that site needs them.
     """
 
@@ -55,39 +55,24 @@ class FusionTreeBasis:
         self.L = L
         self.bc = bc
         self.boundary = boundary
-        self.states = tuple(self._enumerate())
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.heights = np.array(self.states, dtype=int).reshape(self.size, L + 1)
-        self.heights.setflags(write=False)
+        # grow the sequences one step at a time; np.nonzero keeps the rows
+        # in lexicographic order
+        step = cat.rules.N[rho]
+        H = np.arange(cat.n_objects)[:, None] if bc != OPEN else np.array([[boundary[0]]])
+        for _ in range(L):
+            rows, nxt = np.nonzero(step[H[:, -1]])
+            H = np.column_stack((H[rows], nxt))
+        if bc == OPEN:
+            H = H[H[:, -1] == boundary[1]]
+        elif bc == PERIODIC:
+            H = H[H[:, -1] == H[:, 0]]
+        H.setflags(write=False)
+        self.heights = H
         self._pairs = {}
-
-    def _steps(self, h):
-        N = self.cat.rules.N
-        return [hp for hp in range(self.cat.n_objects) if N[self.rho, h, hp]]
-
-    def _enumerate(self):
-        starts = range(self.cat.n_objects)
-        if self.bc == OPEN:
-            starts = [self.boundary[0]]
-        out = []
-        for h0 in starts:
-            stack = [(h0,)]
-            while stack:
-                seq = stack.pop()
-                if len(seq) == self.L + 1:
-                    if self.bc == PERIODIC and seq[-1] != seq[0]:
-                        continue
-                    if self.bc == OPEN and seq[-1] != self.boundary[1]:
-                        continue
-                    out.append(seq)
-                    continue
-                for hp in reversed(self._steps(seq[-1])):
-                    stack.append(seq + (hp,))
-        return sorted(out)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.heights)
 
     def site_range(self):
         return range(1, self.L + 1) if self.bc == PERIODIC else range(1, self.L)
@@ -124,13 +109,8 @@ class FusionTreeBasis:
         cat = self.cat
         if not cat.representable:
             raise CapabilityError(f"{cat.name} has no F-symbols; operators unavailable")
-        n = cat.n_objects
-        U = np.zeros((n,) * 4, dtype=complex)
-        for hm, hp in itertools.product(range(n), repeat=2):
-            blk = cat.f.block(hm, self.rho, self.rho, hp)
-            if blk is not None:
-                us, vs, mat = blk
-                U[hm, hp][np.ix_(us, vs)] = mat
+        hm, hp, h, chi = np.indices((cat.n_objects,) * 4, sparse=True)
+        U = cat.f.gather(hm, self.rho, self.rho, hp, h, chi)
         U.setflags(write=False)
         return U
 

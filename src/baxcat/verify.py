@@ -48,6 +48,25 @@ def _fnorm(m):
     return float(np.linalg.norm(m))
 
 
+def _worst_over_pairs(residual, samples, seed, poles):
+    """The largest residual(mu, mu') over `samples` seeded annulus pairs, and
+    how many pairs were redrawn because they hit a pole; past 50 * samples
+    redraws the PoleError propagates."""
+    rng = np.random.default_rng(seed)
+    worst, skipped, done = 0.0, 0, 0
+    while done < samples:
+        mu1, mu2 = mu_annulus(rng, 2, avoid=poles)
+        try:
+            worst = max(worst, residual(mu1, mu2))
+        except PoleError:
+            skipped += 1
+            if skipped > 50 * samples:
+                raise
+            continue
+        done += 1
+    return worst, skipped
+
+
 def perturb_solution(solution: AmplitudeSolution, chi, eps) -> AmplitudeSolution:
     """Scale one channel amplitude by (1 + eps); negative-control input."""
     funcs = dict(solution.funcs)
@@ -132,29 +151,19 @@ def verify_ybe(cat: CategoryData, rho, solution: AmplitudeSolution, L=3,
     if L < 3:
         raise DomainError("YBE needs at least three strands")
     basis = enumerate_trees(cat, rho, L, OPEN_ALL)
-    rng = np.random.default_rng(seed)
-    poles = solution.poles()
-    worst = 0.0
-    skipped = 0
-    done = 0
-    while done < samples:
-        mu1, mu2 = mu_annulus(rng, 2, avoid=poles)
-        try:
-            r1a = r_op(solution, mu1, 1, basis).matrix
-            r1b = r_op(solution, mu2, 1, basis).matrix
-            r2a = r_op(solution, mu1, 2, basis).matrix
-            r2b = r_op(solution, mu2, 2, basis).matrix
-            r1m = r_op(solution, mu1 * mu2, 1, basis).matrix
-            r2m = r_op(solution, mu1 * mu2, 2, basis).matrix
-        except PoleError:
-            skipped += 1
-            if skipped > 50 * samples:
-                raise
-            continue
+
+    def residual(mu1, mu2):
+        r1a = r_op(solution, mu1, 1, basis).matrix
+        r1b = r_op(solution, mu2, 1, basis).matrix
+        r2a = r_op(solution, mu1, 2, basis).matrix
+        r2b = r_op(solution, mu2, 2, basis).matrix
+        r1m = r_op(solution, mu1 * mu2, 1, basis).matrix
+        r2m = r_op(solution, mu1 * mu2, 2, basis).matrix
         lhs = r1a @ r2m @ r1b
         rhs = r2b @ r1m @ r2a
-        worst = max(worst, _fnorm(lhs - rhs) / max(_fnorm(lhs), 1e-300))
-        done += 1
+        return _fnorm(lhs - rhs) / max(_fnorm(lhs), 1e-300)
+
+    worst, skipped = _worst_over_pairs(residual, samples, seed, solution.poles())
     rep = VerificationReport(
         "ybe", params={"category": cat.name, "rho": cat.display(rho),
                        "phi": cat.display(solution.phi), "L": L,
@@ -171,23 +180,13 @@ def verify_commuting_transfer(cat: CategoryData, rho, solution: AmplitudeSolutio
     if L > 8:
         raise DomainError("transfer check capped at L = 8")
     basis = enumerate_trees(cat, rho, L, PERIODIC)
-    rng = np.random.default_rng(seed)
-    poles = solution.poles()
-    worst = 0.0
-    skipped = 0
-    done = 0
-    while done < samples:
-        mu1, mu2 = mu_annulus(rng, 2, avoid=poles)
-        try:
-            t1 = transfer_matrix(solution, mu1, basis).matrix
-            t2 = transfer_matrix(solution, mu2, basis).matrix
-        except PoleError:
-            skipped += 1
-            if skipped > 50 * samples:
-                raise
-            continue
-        worst = max(worst, _fnorm(t1 @ t2 - t2 @ t1) / max(_fnorm(t1) * _fnorm(t2), 1e-300))
-        done += 1
+
+    def residual(mu1, mu2):
+        t1 = transfer_matrix(solution, mu1, basis).matrix
+        t2 = transfer_matrix(solution, mu2, basis).matrix
+        return _fnorm(t1 @ t2 - t2 @ t1) / max(_fnorm(t1) * _fnorm(t2), 1e-300)
+
+    worst, skipped = _worst_over_pairs(residual, samples, seed, solution.poles())
     rep = VerificationReport(
         "commuting_transfer",
         params={"category": cat.name, "rho": cat.display(rho),

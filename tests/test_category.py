@@ -297,10 +297,12 @@ def _set(key, i, val):
     (lambda doc: doc["dual"].pop(), "'dual'"),
     (_set("dual", 1, 3), "dual[1]"),
     (_set("d", 1, "root two"), "d[1]"),
+    (_set("d", 1, "inf"), "d[1]"),
     (lambda doc: doc["d"].pop(), "'d'"),
     (_set("F", 5, [0, 1, 1, 0, 1, 0]), "F[5]"),
     (_set("F", 5, [0, 1, 1, 0, 1, 3, ["1", "0"]]), "F[5]"),
     (_set("F", 5, [0, 1, 1, 0, 1, 0, "1"]), "F[5]"),
+    (_set("F", 5, [0, 1, 1, 2, 1, 2, ["nan", "0"]]), "F[5]"),
     (lambda doc: doc.update(F={}), "'F'"),
     (lambda doc: doc.update(rho=5), "'rho'"),
     (lambda doc: doc.update(channels=[0, 7]), "channels[1]"),
@@ -314,7 +316,7 @@ def _set(key, i, val):
 ], ids=["no-labels", "no-name", "no-Delta", "no-nu", "no-dual", "label-not-str",
         "short-Delta", "bad-Delta", "short-nu", "nu-label", "nu-sign", "N-label",
         "N-negative", "short-N", "N-not-list", "short-dual", "dual-label", "bad-d",
-        "short-d", "short-F", "F-label", "F-value", "F-not-list", "rho-label",
+        "d-inf", "short-d", "short-F", "F-label", "F-value", "F-nan", "F-not-list", "rho-label",
         "channels-label", "tp-edge-label", "tp-phi-label", "F-twice", "F-not-square"])
 def test_from_json_rejects_malformed(edit, where, error):
     with pytest.raises(error, match=re.escape(where)):
@@ -357,7 +359,13 @@ def literal_pentagon(cat):
 
 def literal_rotation(cat):
     """{(a, b, c, G, A, B): rotation-identity residual} in loop order."""
-    rules, d, fv = cat.rules, cat.dims, cat.f.value
+    rules, d = cat.rules, cat.dims
+
+    def fv(r, s, a, b, t, tp):
+        """F_{tt'}[r s; a b] = [F^{a r s}_b]_{t t'}; zero when inadmissible."""
+        v = cat.f.block_value(a, r, s, b, t, tp)
+        return 0j if v is None else v
+
     selfdual = [x for x in range(cat.n_objects) if rules.dual[x] == x]
     out = {}
     for a, b, c in itertools.product(selfdual, repeat=3):
@@ -424,7 +432,7 @@ def test_identity_checks_find_the_literal_worst_tuple_of_a_corruption(build, arg
 
 def test_f_lookups_read_absent_entries_as_missing_or_zero():
     f = bx.build_su2k(2).f
-    us, vs, mat = f.block(1, 1, 1, 1)
+    us, vs, mat = f.blocks[(1, 1, 1, 1)]
     assert f.block_value(1, 1, 1, 1, us[1], vs[0]) == complex(mat[1, 0])
     assert f.block_value(1, 1, 1, 1, 1, 0) is None          # u = 1/2 not in 1/2 x 1/2
     assert f.block_value(1, 1, 1, 2, 0, 0) is None          # no such block
@@ -439,10 +447,20 @@ def test_f_lookups_read_absent_entries_as_missing_or_zero():
 
 
 def test_a_nan_in_f_fails_the_identity_checks():
-    doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
-    doc["F"][5][6] = ["nan", "0"]
-    rep = bx.check_f_identities(bx.category_from_json(json.dumps(doc)))
+    cat = bx.build_su2k(2)
+    # the sixth entry in key order, [F^{0 1/2 1/2}_1]_{1/2 1}
+    (key, u, v), = [(key, u, v) for key, (us, vs, _) in sorted(cat.f.blocks.items())
+                    for u in us for v in vs][5:6]
+    us, vs, mat = cat.f.blocks[key]
+    mat = mat.copy()
+    mat[us.index(u), vs.index(v)] = math.nan
+    bad = bx.CategoryData(cat.name, cat.labels, cat.twists, rules=cat.rules, dims=cat.dims,
+                          f=FSymbolTable({**cat.f.blocks, key: (us, vs, mat)}))
+    rep = bx.check_f_identities(bad)
     for name in ("pentagon", "rotation"):
         check = rep.check(name)
         assert check.residual == math.inf and not check.passed
         assert check.details["worst_tuple"]
+    check = rep.check("unitarity")
+    assert check.residual == math.inf and not check.passed
+    assert check.details["worst_block"] == list(key)

@@ -13,6 +13,37 @@ from baxcat.treerep import (OPEN, OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
                             face_weights, projector_op, r_op, transfer_matrix)
 
 
+def states(basis):
+    """The basis states as height tuples, in basis order."""
+    return [tuple(row) for row in basis.heights.tolist()]
+
+
+def state_index(basis):
+    return {s: i for i, s in enumerate(states(basis))}
+
+
+def literal_enumeration(cat, rho, L, bc, boundary=None):
+    """Depth-first search over admissible steps, then a sort: the tuple
+    enumeration the height array replaced."""
+    n = cat.n_objects
+    out = []
+    for h0 in ([boundary[0]] if bc == OPEN else range(n)):
+        stack = [(h0,)]
+        while stack:
+            seq = stack.pop()
+            if len(seq) == L + 1:
+                if bc == PERIODIC and seq[-1] != seq[0]:
+                    continue
+                if bc == OPEN and seq[-1] != boundary[1]:
+                    continue
+                out.append(seq)
+                continue
+            for hp in reversed(range(n)):
+                if cat.rules.N[rho, seq[-1], hp]:
+                    stack.append(seq + (hp,))
+    return sorted(out)
+
+
 def adjacency_matrix(cat, rho):
     n = cat.n_objects
     return np.array([[cat.rules.N[rho, h, hp] for hp in range(n)]
@@ -26,16 +57,16 @@ def test_enumerate_periodic_count_vs_trace():
         adj = adjacency_matrix(cat, rho)
         expect = round(np.trace(np.linalg.matrix_power(adj, L)).real)
         assert basis.size == expect
-        assert all(s[0] == s[-1] for s in basis.states)
+        assert all(s[0] == s[-1] for s in states(basis))
 
 
 def test_enumerate_open_all_ty():
     ty = bx.build_tambara_yamagami(3)
     basis = enumerate_trees(ty, 3, 2, OPEN_ALL)
     # (a, X, a') for a, a' in Z_3 plus the (X, a, X) boundary states
-    assert {s for s in basis.states if s[1] == 3} == {
+    assert {s for s in states(basis) if s[1] == 3} == {
         (a, 3, b) for a in range(3) for b in range(3)}
-    assert {s for s in basis.states if s[1] != 3} == {
+    assert {s for s in states(basis) if s[1] != 3} == {
         (3, a, 3) for a in range(3)}
     assert basis.size == 12
 
@@ -56,8 +87,30 @@ def test_enumerate_lexicographic_and_deterministic():
     cat = bx.build_su2k(3)
     b1 = enumerate_trees(cat, 1, 5, OPEN_ALL)
     b2 = enumerate_trees(cat, 1, 5, OPEN_ALL)
-    assert b1.states == tuple(sorted(b1.states))
-    assert b1.states == b2.states
+    assert states(b1) == sorted(states(b1))
+    assert np.array_equal(b1.heights, b2.heights)
+    assert not b1.heights.flags.writeable
+
+
+@pytest.mark.parametrize("cat, rho", [
+    (bx.build_su2k(3), 1), (bx.build_su2k(4), 2), (bx.build_minimal_A(5), 1),
+    (bx.build_tambara_yamagami(3), 3)], ids=["su2_3", "su2_4-spin1", "minimal_5", "ty_3-X"])
+def test_enumeration_matches_the_literal_search(cat, rho):
+    n = cat.n_objects
+    empty = set()
+    for L in range(7):
+        cases = [(OPEN_ALL, None), (PERIODIC, None)]
+        cases += [(OPEN, (a, b)) for a in range(n) for b in range(n)]
+        for bc, boundary in cases:
+            basis = enumerate_trees(cat, rho, L, bc, boundary)
+            want = literal_enumeration(cat, rho, L, bc, boundary)
+            assert basis.heights.shape == (len(want), L + 1)
+            assert states(basis) == want                    # row order included
+            if not want:
+                empty.add((bc, L % 2))
+    assert (OPEN, 0) in empty                   # an unreachable boundary, L = 0 included
+    if not np.trace(adjacency_matrix(cat, rho)):
+        assert (PERIODIC, 1) in empty           # a bipartite rho: odd periodic chains
 
 
 def test_enumerate_requires_rules():
@@ -87,10 +140,11 @@ def test_projector_matches_literal_f_product_self_dual():
     rho = 1
     basis = enumerate_trees(cat, rho, 4, OPEN_ALL)
     fb = cat.f.block_value
+    index = state_index(basis)
     for chi in (0, 2):
         P = projector_op(cat, rho, chi, 2, basis).matrix
         Q = np.zeros_like(P)
-        for s in basis.states:
+        for s in index:
             hm, hj, hp = s[1], s[2], s[3]
             f1 = fb(hm, rho, rho, hp, hj, chi)
             if f1 is None:
@@ -100,8 +154,8 @@ def test_projector_matches_literal_f_product_self_dual():
                 if f2 is None:
                     continue
                 s2 = s[:2] + (hjp,) + s[3:]
-                if s2 in basis.index:
-                    Q[basis.index[s2], basis.index[s]] += f1 * f2
+                if s2 in index:
+                    Q[index[s2], index[s]] += f1 * f2
         assert np.max(np.abs(P - Q)) < 1e-12
 
 
@@ -269,8 +323,8 @@ def test_block_preservation_open_all():
     cat = bx.build_su2k(3)
     basis = enumerate_trees(cat, 1, 4, OPEN_ALL)
     P = projector_op(cat, 1, 0, 2, basis).matrix
-    for i1, s1 in enumerate(basis.states):
-        for i2, s2 in enumerate(basis.states):
+    for i1, s1 in enumerate(states(basis)):
+        for i2, s2 in enumerate(states(basis)):
             if (s1[0], s1[-1]) != (s2[0], s2[-1]):
                 assert P[i2, i1] == 0
 
@@ -296,7 +350,8 @@ def literal_projector(cat, rho, chi, j, basis):
     P = np.zeros((n, n), dtype=complex)
     fb = cat.f.block_value
     seam = basis.bc == PERIODIC and j == basis.L
-    for s in basis.states:
+    index = state_index(basis)
+    for s in index:
         hm, hj, hp = s[j - 1], s[j], s[1 if seam else j + 1]
         f1 = fb(hm, rho, rho, hp, hj, chi)
         if f1 is None:
@@ -309,9 +364,9 @@ def literal_projector(cat, rho, chi, j, basis):
             s2[j] = hjp
             if seam:
                 s2[0] = hjp
-            row = basis.index.get(tuple(s2))
+            row = index.get(tuple(s2))
             if row is not None:
-                P[row, basis.index[s]] += f2 * np.conj(f1)
+                P[row, index[s]] += f2 * np.conj(f1)
     return P
 
 
@@ -334,9 +389,9 @@ def literal_transfer(sol, mu, basis):
         return diamonds[(lm, m, rp, mp)]
 
     T = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, s in enumerate(basis.states):
+    for col, s in enumerate(states(basis)):
         h = s[:-1]
-        for row, s2 in enumerate(basis.states):
+        for row, s2 in enumerate(states(basis)):
             hp = s2[:-1]
             w = 1.0 + 0j
             for j in range(L):
