@@ -605,6 +605,13 @@ def _finite(x) -> float:
     return x
 
 
+def _positive(x) -> float:
+    x = _finite(x)
+    if x <= 0:
+        raise ValueError(f"{x} is not positive")
+    return x
+
+
 def _complex_pair(val):
     re, im = val
     return complex(_finite(re), _finite(im))
@@ -644,8 +651,8 @@ def category_from_json(text: str) -> CategoryData:
         rules = FusionRules(n, N, tuple(dual))
     dims = None
     if "d" in doc:
-        dims = QuantumDims(np.array(_convert("d", _doc_get(doc, "d", length=n), _finite,
-                                             "a finite number")))
+        dims = QuantumDims(np.array(_convert("d", _doc_get(doc, "d", length=n), _positive,
+                                             "a positive finite number")))
     f = None
     if "F" in doc:
         rows = _check_rows("F", _doc_get(doc, "F"), n, 7, 6)

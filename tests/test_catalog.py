@@ -1,5 +1,6 @@
 """Built-in families: data values, F-symbol identities, mutation controls."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from baxcat.catalog import FAMILIES
 from baxcat.category import FSymbolTable
 from baxcat.cli import main
 from baxcat.errors import DomainError
+from baxcat.sixj import racah_sixj, su2_admissible, su2_qdim
 
 
 def test_su2_2_data():
@@ -165,8 +167,60 @@ def test_f_identities_ty4_residuals():
 
 
 def test_f_identities_larger_tables():
-    assert bx.check_f_identities(bx.build_su2k(6)).passed
+    for k in (6, 8, 10):
+        assert bx.check_f_identities(bx.build_su2k(k)).passed, k
     assert bx.check_f_identities(bx.build_tambara_yamagami(8)).passed
+
+
+def literal_projector_symmetry(cat):
+    """[([F^{hp hm r}_r]_{chi h}, [F^{hm r r}_{hp}]_{h chi})] for every
+    (hm, hp, r, chi, h) where both entries exist; one F lookup per side."""
+    fv = cat.f.block_value
+    pairs = [(fv(hp, hm, r, r, chi, h), fv(hm, r, r, hp, h, chi))
+             for hm, hp, r, chi, h in itertools.product(range(cat.n_objects), repeat=5)]
+    return [(a, b) for a, b in pairs if a is not None and b is not None]
+
+
+def literal_vertex_cancellation(cat):
+    """[(sqrt(d_b) [F^{r f b}_r]_{r a}, sqrt(d_a) [F^{r a f}_r]_{r b})] for
+    every (r, f, a, b) where both entries exist; one F lookup per side."""
+    fv, d = cat.f.block_value, cat.dims.d
+    pairs = [(b, a, fv(r, f, b, r, r, a), fv(r, a, f, r, r, b))
+             for r, f, a, b in itertools.product(range(cat.n_objects), repeat=4)]
+    return [(math.sqrt(d[b]) * x, math.sqrt(d[a]) * y)
+            for b, a, x, y in pairs if x is not None and y is not None]
+
+
+@pytest.mark.parametrize("build, arg", [(bx.build_su2k, k) for k in range(1, 9)]
+                         + [(bx.build_tambara_yamagami, M) for M in range(2, 7)])
+def test_f_gauge_conventions(build, arg):
+    # two sign conventions the operator layer relies on that check_f_identities
+    # does not test by name: projector symmetry and vertex cancellation
+    cat = build(arg)
+    for pairs in (literal_projector_symmetry(cat), literal_vertex_cancellation(cat)):
+        assert pairs
+        assert max(abs(a - b) for a, b in pairs) < 1e-12
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_su2_gauge_moves_only_signs(k):
+    # the keys, us and vs are the admissible labels, and every entry is the
+    # Racah-normalised value up to sign, bit for bit
+    lab = range(k + 1)
+    adm = lambda a, b, c: su2_admissible(a, b, c, k)
+    blocks = bx.build_su2k(k).f.blocks
+    expect = {}
+    for x, y, z, w in itertools.product(lab, repeat=4):
+        us = tuple(u for u in lab if adm(x, y, u) and adm(u, z, w))
+        vs = tuple(v for v in lab if adm(y, z, v) and adm(x, v, w))
+        if us and vs:
+            expect[(x, y, z, w)] = (us, vs)
+    assert {key: (us, vs) for key, (us, vs, _) in blocks.items()} == expect
+    for (x, y, z, w), (us, vs, mat) in blocks.items():
+        for (i, u), (j, v) in itertools.product(enumerate(us), enumerate(vs)):
+            magnitude = math.sqrt(su2_qdim(u, k) * su2_qdim(v, k)) * abs(
+                racah_sixj(x, y, u, z, w, v, k))
+            assert abs(mat[i, j]) == magnitude and mat[i, j].imag == 0
 
 
 def test_f_mutation_breaks_pentagon():

@@ -298,6 +298,8 @@ def _set(key, i, val):
     (_set("dual", 1, 3), "dual[1]"),
     (_set("d", 1, "root two"), "d[1]"),
     (_set("d", 1, "inf"), "d[1]"),
+    (_set("d", 1, "-1.4142135623730951"), "d[1]"),
+    (_set("d", 1, "0"), "d[1]"),
     (lambda doc: doc["d"].pop(), "'d'"),
     (_set("F", 5, [0, 1, 1, 0, 1, 0]), "F[5]"),
     (_set("F", 5, [0, 1, 1, 0, 1, 3, ["1", "0"]]), "F[5]"),
@@ -316,8 +318,8 @@ def _set(key, i, val):
 ], ids=["no-labels", "no-name", "no-Delta", "no-nu", "no-dual", "label-not-str",
         "short-Delta", "bad-Delta", "short-nu", "nu-label", "nu-sign", "N-label",
         "N-negative", "short-N", "N-not-list", "short-dual", "dual-label", "bad-d",
-        "d-inf", "short-d", "short-F", "F-label", "F-value", "F-nan", "F-not-list", "rho-label",
-        "channels-label", "tp-edge-label", "tp-phi-label", "F-twice", "F-not-square"])
+        "d-inf", "d-negative", "d-zero", "short-d", "short-F", "F-label", "F-value", "F-nan",
+        "F-not-list", "rho-label", "channels-label", "tp-edge-label", "tp-phi-label", "F-twice", "F-not-square"])
 def test_from_json_rejects_malformed(edit, where, error):
     with pytest.raises(error, match=re.escape(where)):
         bx.category_from_json(_edited(edit))
