@@ -7,8 +7,10 @@ admissible Boltzmann-weight ratio is
 
 a Moebius function of mu built purely from twist data.  A spanning tree of
 the tensor-product graph fixes every amplitude relative to the reference
-channel; each extra edge closes a cycle whose consistency is checked by
-polynomial-identity sampling.
+channel; each extra edge closes a cycle, decided by float sampling of the
+closing identity against `SOLVER_TOL`.  That decision is known to fail on
+long cycles: for ty with rho = X it calls consistent pairs INCONSISTENT at
+every even M >= 18 (ROADMAP item 1, exact amplitudes).
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ class AmplitudeSolution:
     verdict: str
     components: tuple
     cycles: tuple = ()
-    tolerance: float = SOLVER_TOL
 
     @property
     def rho(self):
@@ -135,16 +136,21 @@ def build_tp_graph(cat: CategoryData, rho, phi) -> TensorProductGraph:
                 f"current termination fails: {cat.display(rho)} is not in "
                 f"{cat.display(phi)} x {cat.display(rho)}")
         verts = _channels_of(cat, rho)
-        directed = tuple((a, b) for a, b in itertools.product(verts, repeat=2)
-                         if a != b and cat.rules.N[a, phi, b])
-        oriented = any((b, a) not in directed for a, b in directed)
+        pairs = [(a, b) for a, b in itertools.product(verts, repeat=2) if cat.rules.N[a, phi, b]]
     else:
         if cat.tp_adjacency is None or phi not in cat.tp_adjacency:
             raise DomainError(f"{cat.name}: no declared tensor-product graph for phi="
                               f"{cat.display(phi)}")
         verts = _channels_of(cat, rho)
-        directed = tuple(cat.tp_adjacency[phi])
-        oriented = False
+        pairs = cat.tp_adjacency[phi]
+        for a, b in pairs:
+            if a not in verts or b not in verts:
+                raise DomainError(
+                    f"{cat.name}: declared edge ({cat.display(a)}, {cat.display(b)}) for "
+                    f"phi={cat.display(phi)} leaves the channels of "
+                    f"{cat.display(rho)} x {cat.display(rho)}")
+    directed = tuple((a, b) for a, b in pairs if a != b)
+    oriented = cat.rules is not None and any((b, a) not in directed for a, b in directed)
     # canonical edge list: (min, max) unless only the reverse is admissible
     keys = sorted({frozenset(e) for e in directed}, key=lambda s: tuple(sorted(s)))
     canon = []
@@ -155,64 +161,55 @@ def build_tp_graph(cat: CategoryData, rho, phi) -> TensorProductGraph:
 
 
 def edge_ratio(cat: CategoryData, rho, a, b, mu) -> complex:
-    """A_b/A_a on an edge: (x + mu)/(1 + mu x) with x the twist-edge ratio.
-
-    Degenerate edges with x = +-1 give the constant +-1 (the linear factors
-    share their root there).
-    """
-    x = twist_edge_ratio(cat, rho, a, b)
-    mu = complex(mu)
-    if abs(x - 1.0) < 1e-14:
-        return 1.0 + 0j
-    if abs(x + 1.0) < 1e-14:
-        return -1.0 + 0j
-    den = 1 + mu * x
-    if abs(den) < 1e-12 * max(1.0, abs(mu)):
-        raise PoleError(f"edge ratio pole at mu={mu}", pole=-1 / x)
-    return (x + mu) / den
+    """A_b/A_a on an edge: (x + mu)/(1 + mu x) with x the twist-edge ratio."""
+    return _edge_ratio_func(cat, rho, a, b).evaluate(mu)
 
 
 def _edge_ratio_func(cat, rho, a, b) -> RationalFunction:
     return RationalFunction.linear_ratio(twist_edge_ratio(cat, rho, a, b))
 
 
-def _sample_points(funcs, need: int):
-    """Deterministic off-pole sample points: golden-angle phases on a small
-    set of radii, rejecting near-pole candidates."""
+def _cycle_residual(fa, fb, ratio, need: int):
+    """max |A_b - A_a r| over `need` deterministic off-pole points, and the
+    number of points taken.  Candidates are golden-angle phases on a small
+    set of radii; one within 1e-8 of a pole of any factor is skipped."""
     golden = (math.sqrt(5) - 1) / 2
     radii = (0.47, 0.83, 1.31, 2.17, 3.59)
-    pts = []
-    j = 0
-    while len(pts) < need and j < 200 * need:
+    res, taken = 0.0, 0
+    for j in range(200 * need):
+        if taken == need:
+            break
         mu = radii[j % len(radii)] * np.exp(2j * math.pi * ((j * golden) % 1.0))
-        j += 1
         try:
-            for fn in funcs:
-                fn.evaluate(mu, pole_tol=1e-8)
+            va, vb, vr = (fn.evaluate(mu, pole_tol=1e-8) for fn in (fa, fb, ratio))
         except PoleError:
             continue
-        pts.append(complex(mu))
-    return pts
+        res = max(res, abs(vb - va * vr))
+        taken += 1
+    return res, taken
 
 
-def solve_central(cat: CategoryData, rho, phi, tol: float = SOLVER_TOL,
-                  tree: str = "bfs") -> AmplitudeSolution:
+def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSolution:
     """Propagate amplitude ratios over a spanning tree and classify the rest.
 
-    Every non-tree edge closes a cycle; the closing constraint is a rational
-    identity of degree bounded by the edge count, so agreement at 2E+1
-    off-pole sample points decides it exactly up to fp noise.
+    The reference channel (0, else the least channel) seeds its component, so
+    its amplitude is exactly 1.  Every non-tree edge closes a cycle; the
+    closing constraint is a rational identity of degree bounded by the edge
+    count, sampled at 2E+1 off-pole points and decided against `SOLVER_TOL`.
+    Float sampling is known to misjudge long cycles (ty rho = X at even
+    M >= 18, ROADMAP item 1).
     """
     graph = build_tp_graph(cat, rho, phi)
     verts = graph.vertices
     adj = {v: graph.neighbours(v) for v in verts}
+    reference = 0 if 0 in verts else min(verts)
 
     if tree not in ("bfs", "dfs"):
         raise DomainError(f"unknown spanning-tree strategy {tree!r}")
     funcs = {}
     parent = {}
     components = []
-    for start in verts:
+    for start in (reference, *verts):
         if start in funcs:
             continue
         comp = [start]
@@ -247,15 +244,12 @@ def solve_central(cat: CategoryData, rho, phi, tol: float = SOLVER_TOL,
     nsamp = 2 * max(1, len(graph.edges)) + 1
     cycles = []
     for a, b in closing:
-        ratio = _edge_ratio_func(cat, graph.rho, a, b)
-        pts = _sample_points([funcs[a], funcs[b], ratio], nsamp)
-        res = 0.0
-        for mu in pts:
-            res = max(res, abs(funcs[b].evaluate(mu) - funcs[a].evaluate(mu) * ratio.evaluate(mu)))
+        res, taken = _cycle_residual(funcs[a], funcs[b],
+                                     _edge_ratio_func(cat, graph.rho, a, b), nsamp)
         cyc = tree_path(a, b) if parent else [a, b]
-        cycles.append(CycleCheck(tuple(sorted(set(cyc))), (a, b), res, len(pts)))
+        cycles.append(CycleCheck(tuple(sorted(set(cyc))), (a, b), res, taken))
 
-    if any(c.residual >= tol for c in cycles):
+    if any(c.residual >= SOLVER_TOL for c in cycles):
         verdict = INCONSISTENT
     elif len(components) > 1:
         verdict = UNDERDETERMINED
@@ -263,16 +257,8 @@ def solve_central(cat: CategoryData, rho, phi, tol: float = SOLVER_TOL,
         verdict = CYCLE_CONSISTENT
     else:
         verdict = TREE_UNIQUE
-
-    reference = 0 if 0 in verts else min(verts)
-    if funcs[reference].degree > 0 or abs(funcs[reference].evaluate(1.0) - 1.0) > 1e-12:
-        # renormalise so the reference channel is exactly 1 (it already is
-        # when the reference seeds its component)
-        ref = funcs[reference]
-        funcs = {ch: fn * ref.inverse() for ch, fn in funcs.items()}
-        funcs[reference] = RationalFunction.one()
     return AmplitudeSolution(cat, graph, reference, verts, funcs, verdict,
-                             components, tuple(cycles), tol)
+                             components, tuple(cycles))
 
 
 def amplitude_at(solution: AmplitudeSolution, chi, mu) -> complex:

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -232,34 +231,16 @@ def check_fusion_ring(rules: FusionRules) -> VerificationReport:
     N = rules.N
     rep = VerificationReport("fusion_ring", params={"n_objects": n})
 
-    bad = None
-    for a, b in itertools.product(range(n), repeat=2):
-        if N[a, 0, b] != (1 if a == b else 0) or N[0, a, b] != (1 if a == b else 0):
-            bad = (a, b)
-            break
-    rep.add("identity", 0.0 if bad is None else 1.0, 0.5, samples=n * n,
-            **({} if bad is None else {"counterexample": list(bad)}))
+    def add(name, bad, samples):
+        rep.add(name, 0.0 if bad is None else 1.0, 0.5, samples=samples,
+                **({} if bad is None else {"counterexample": list(bad)}))
 
-    bad = None
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if N[a, b, c] != N[b, a, c]:
-            bad = (a, b, c)
-            break
-    rep.add("commutativity", 0.0 if bad is None else 1.0, 0.5, samples=n ** 3,
-            **({} if bad is None else {"counterexample": list(bad)}))
-
-    bad = None
-    for a in range(n):
-        abar = rules.dual[a]
-        for b in range(n):
-            want = 1 if b == abar else 0
-            if N[a, b, 0] != want:
-                bad = (a, b)
-                break
-        if bad:
-            break
-    rep.add("duality", 0.0 if bad is None else 1.0, 0.5, samples=n * n,
-            **({} if bad is None else {"counterexample": list(bad)}))
+    eye = np.eye(n, dtype=int)
+    add("identity", _first_true((N[:, 0, :] != eye) | (N[0] != eye)), n * n)
+    add("commutativity", _first_true(N != N.transpose(1, 0, 2)), n ** 3)
+    dual = np.zeros((n, n), dtype=int)
+    dual[np.arange(n), rules.dual] = 1
+    add("duality", _first_true(N[:, :, 0] != dual), n * n)
 
     # (ab)c = a(bc) for one a at a time, as [b, c, d] arrays:
     # sum_x N_ab^x N_xc^d against sum_y N_bc^y N_ay^d
@@ -268,13 +249,18 @@ def check_fusion_ring(rules: FusionRules) -> VerificationReport:
     for a in range(n):
         lhs = (Ni[a] @ Ni.reshape(n, n * n)).reshape(n, n, n)
         rhs = (Ni.reshape(n * n, n) @ Ni[a]).reshape(n, n, n)
-        diff = np.argwhere(lhs != rhs)
-        if len(diff):
-            bad = (a, *(int(i) for i in diff[0]))
+        hit = _first_true(lhs != rhs)
+        if hit is not None:
+            bad = (a, *hit)
             break
-    rep.add("associativity", 0.0 if bad is None else 1.0, 0.5, samples=n ** 4,
-            **({} if bad is None else {"counterexample": list(bad)}))
+    add("associativity", bad, n ** 4)
     return rep
+
+
+def _first_true(mask):
+    """Index of the first True entry in lexicographic order, or None."""
+    hits = np.argwhere(mask)
+    return tuple(int(i) for i in hits[0]) if len(hits) else None
 
 
 def compute_quantum_dims(rules: FusionRules) -> QuantumDims:

@@ -55,9 +55,6 @@ class RationalFunction:
         return RationalFunction(np.convolve(self.num, other.num),
                                 np.convolve(self.den, other.den))
 
-    def inverse(self) -> "RationalFunction":
-        return RationalFunction(self.den, self.num)
-
     def evaluate(self, mu: complex, pole_tol: float = 1e-12) -> complex:
         mu = complex(mu)
         den = complex(np.polynomial.polynomial.polyval(mu, self.den))

@@ -97,11 +97,11 @@ def su2k_f_blocks(k: int) -> dict:
         twist = x % 2 & y % 2 & z % 2         # Z_2 associator twist on the all-odd blocks
         for i, u in enumerate(us):
             for j, v in enumerate(vs):
-                val = complex(sgn * math.sqrt(su2_qdim(u, k) * su2_qdim(v, k)) * racah_sixj(
-                    x, y, u, z, w, v, k))
+                val = sgn * math.sqrt(su2_qdim(u, k) * su2_qdim(v, k)) * racah_sixj(
+                    x, y, u, z, w, v, k)
                 flip = (twist + _vertex_sign(x, y, u) + _vertex_sign(u, z, w)
                         + _vertex_sign(y, z, v) + _vertex_sign(x, v, w)) % 2
-                mat[i, j] = -val if flip else val   # exports print -0 as its imaginary part
+                mat[i, j] = (-val if flip else val) + 0.0   # + 0.0 stores a zero as +0
         mat.setflags(write=False)           # cached and shared by su2 and minimal
         blocks[(x, y, z, w)] = (us, vs, mat)
     return blocks

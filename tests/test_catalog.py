@@ -223,6 +223,15 @@ def test_su2_gauge_moves_only_signs(k):
             assert abs(mat[i, j]) == magnitude and mat[i, j].imag == 0
 
 
+@pytest.mark.parametrize("build, arg", [(bx.build_su2k, k) for k in range(1, 11)]
+                         + [(bx.build_tambara_yamagami, M) for M in range(2, 9)])
+def test_f_tables_store_no_negative_zero(build, arg):
+    # a signed zero prints as "-0" in the category export
+    _, vals = build(arg).f.flat
+    for part in (vals.real, vals.imag):
+        assert not np.any(np.signbit(part) & (part == 0))
+
+
 def test_f_mutation_breaks_pentagon():
     cat = bx.build_su2k(2)
     blocks = {k: (us, vs, m.copy()) for k, (us, vs, m) in cat.f.blocks.items()}

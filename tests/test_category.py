@@ -113,6 +113,30 @@ def _first_nonassociative(N):
     return None
 
 
+def _first_nonunital(N):
+    """Reference: the first (a, b) with N_{a0}^b or N_{0a}^b != delta_ab."""
+    for a, b in itertools.product(range(len(N)), repeat=2):
+        if N[a, 0, b] != (1 if a == b else 0) or N[0, a, b] != (1 if a == b else 0):
+            return [a, b]
+    return None
+
+
+def _first_noncommuting(N):
+    """Reference: the first (a, b, c) with N_ab^c != N_ba^c."""
+    for a, b, c in itertools.product(range(len(N)), repeat=3):
+        if N[a, b, c] != N[b, a, c]:
+            return [a, b, c]
+    return None
+
+
+def _first_nondual(N, dual):
+    """Reference: the first (a, b) with N_ab^0 != delta_{b, abar}."""
+    for a, b in itertools.product(range(len(N)), repeat=2):
+        if N[a, b, 0] != (1 if b == dual[a] else 0):
+            return [a, b]
+    return None
+
+
 def test_check_fusion_ring_mutated():
     cat = bx.build_su2k(2)
     N = cat.rules.N.copy()
@@ -133,6 +157,25 @@ def test_check_fusion_ring_mutated():
         check = bx.check_fusion_ring(FusionRules(rules.n_objects, N, rules.dual)).check(
             "associativity")
         assert check.details.get("counterexample") == _first_nonassociative(N)
+    # corruptions aimed at each of the other axioms, against their reference loops
+    n = rules.n_objects
+    oracles = {"identity": _first_nonunital, "commutativity": _first_noncommuting,
+               "duality": lambda N: _first_nondual(N, rules.dual),
+               "associativity": _first_nonassociative}
+    for target in ("identity", "commutativity", "duality"):
+        for _ in range(6):
+            N = rules.N.copy()
+            a, b, c = (int(i) for i in rng.integers(0, n, 3))
+            if target == "identity":
+                N[a, 0, b] ^= 1
+            elif target == "commutativity":
+                N[a, (a + 1 + b % (n - 1)) % n, c] ^= 1     # a != second index
+            else:
+                N[a, b, 0] ^= 1
+            rep = bx.check_fusion_ring(FusionRules(n, N, rules.dual))
+            assert not rep.check(target).passed
+            for name, oracle in oracles.items():
+                assert rep.check(name).details.get("counterexample") == oracle(N), name
 
 
 def test_twist_factor_su2_2():
