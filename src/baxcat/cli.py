@@ -176,6 +176,7 @@ def _cmd_verify(args):
         else:
             rep = verify_braid_limits(cat, rho, sol)
             rep2 = verify_braid_relations(cat, rho, L=L, **tol)
+            rep.params.update(L=L, dim=rep2.params["dim"])
             rep.checks.extend(rep2.checks)
     else:
         rep = verify_projector_algebra(cat, rho, L=L, **tol)

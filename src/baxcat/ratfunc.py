@@ -30,7 +30,8 @@ class RationalFunction:
     def __init__(self, num, den):
         self.num = _trim(num)
         self.den = _trim(den)
-        if np.max(np.abs(self.den)) == 0.0:
+        self._den_scale = float(np.max(np.abs(self.den)))
+        if self._den_scale == 0.0:
             raise ZeroDivisionError("zero denominator polynomial")
 
     @staticmethod
@@ -58,7 +59,7 @@ class RationalFunction:
     def evaluate(self, mu: complex, pole_tol: float = 1e-12) -> complex:
         mu = complex(mu)
         den = complex(np.polynomial.polynomial.polyval(mu, self.den))
-        scale = float(np.max(np.abs(self.den))) * max(1.0, abs(mu)) ** (self.den.size - 1)
+        scale = self._den_scale * max(1.0, abs(mu)) ** (self.den.size - 1)
         if abs(den) <= pole_tol * scale:
             nearest = min(self.poles(), key=lambda p: abs(p - mu), default=mu)
             raise PoleError(f"evaluation at mu={mu} hits a pole near {nearest}", pole=nearest)

@@ -1,5 +1,5 @@
-"""Fusion-tree (height-model) bases and the dense operators acting on them:
-projectors, braid generators, spectral R-matrices and transfer matrices.
+"""Fusion-tree (height-model) bases, their path counts and the dense operators
+on them: projectors, braid generators, spectral R-matrices, transfer matrices.
 
 A basis state is a height sequence (h_0, ..., h_L) with every step admissible
 under fusion with rho, stored as one row of the basis's int array `heights`;
@@ -34,8 +34,7 @@ class FusionTreeBasis:
     read-only dim x (L+1) int array `heights`.
 
     Immutable after construction; the read-only face tensor is built from the
-    F-symbols when the first operator on the basis needs it, and the state
-    pairs of a site when the first operator at that site needs them.
+    F-symbols when the first operator on the basis needs it.
     """
 
     def __init__(self, cat: CategoryData, rho, L, bc, boundary=None):
@@ -68,7 +67,6 @@ class FusionTreeBasis:
             H = H[H[:, -1] == H[:, 0]]
         H.setflags(write=False)
         self.heights = H
-        self._pairs = {}
 
     @property
     def size(self) -> int:
@@ -77,11 +75,6 @@ class FusionTreeBasis:
     def site_range(self):
         return range(1, self.L + 1) if self.bc == PERIODIC else range(1, self.L)
 
-    def check_site(self, j):
-        if j not in self.site_range():
-            raise DomainError(f"site {j} outside {list(self.site_range())} for bc={self.bc}")
-        return j
-
     def check_dense(self):
         """Refuse a basis too large for dense n x n operators."""
         if self.size > MAX_DENSE_DIM:
@@ -89,19 +82,6 @@ class FusionTreeBasis:
                 f"basis dimension {self.size} exceeds the dense-operator budget of "
                 f"{MAX_DENSE_DIM} states ({self.size ** 2 * 16 / 1e9:.1f} GB per complex "
                 f"matrix); use a smaller L or strand")
-
-    def site_pairs(self, j):
-        """Read-only (r, c) index arrays of the state pairs that agree off site j
-        (and off h_0 = h_L at the periodic seam j = L), in row-major order."""
-        if j not in self._pairs:
-            seam = self.bc == PERIODIC and j == self.L
-            rest = np.delete(self.heights, [0, j] if seam else [j], axis=1)
-            cls = np.unique(rest, axis=0, return_inverse=True)[1].reshape(-1)
-            pairs = np.nonzero(cls[:, None] == cls)
-            for arr in pairs:
-                arr.setflags(write=False)
-            self._pairs[j] = pairs
-        return self._pairs[j]
 
     @functools.cached_property
     def face(self) -> np.ndarray:
@@ -119,7 +99,6 @@ class FusionTreeBasis:
 class LinearOp:
     basis: FusionTreeBasis
     matrix: np.ndarray
-    support: tuple
     name: str
 
     @property
@@ -136,6 +115,18 @@ def enumerate_trees(cat: CategoryData, rho, L, bc, boundary=None) -> FusionTreeB
     return FusionTreeBasis(cat, rho, L, bc, boundary)
 
 
+def path_counts(cat: CategoryData, rho, L):
+    """Exact int vectors into[m][h] and out[m][h], m = 0..L: the height paths
+    of m steps that end and that start at h (the column and row sums of the
+    m-th power of rho's fusion adjacency)."""
+    step = (cat.rules.N[cat.check_label(rho)] != 0).astype(object)
+    into, out = [np.ones(cat.n_objects, dtype=object)], [np.ones(cat.n_objects, dtype=object)]
+    for _ in range(L):
+        into.append(into[-1] @ step)
+        out.append(step @ out[-1])
+    return into, out
+
+
 def face_weights(basis: FusionTreeBasis, rho, coeffs) -> np.ndarray:
     """W[h-, h+, h', h] = sum_chi c_chi U[h-, h+, h', chi] conj(U[h-, h+, h, chi])
     for coefficients {chi: c_chi}, i.e. U diag(c) U^dagger on every face."""
@@ -150,15 +141,18 @@ def face_weights(basis: FusionTreeBasis, rho, coeffs) -> np.ndarray:
 def _site_op(basis: FusionTreeBasis, rho, coeffs, j, name) -> LinearOp:
     """M[r, c] = W[h_{j-1}(c), h_{j+1}(c), h_j(r), h_j(c)] wherever states r and
     c agree off site j (and off h_0 = h_L at the periodic seam j = L)."""
-    basis.check_site(j)
+    if j not in basis.site_range():
+        raise DomainError(f"site {j} outside {list(basis.site_range())} for bc={basis.bc}")
     basis.check_dense()
     W = face_weights(basis, rho, coeffs)
     H = basis.heights
     seam = basis.bc == PERIODIC and j == basis.L
-    r, c = basis.site_pairs(j)
+    rest = np.delete(H, [0, j] if seam else [j], axis=1)
+    cls = np.unique(rest, axis=0, return_inverse=True)[1].reshape(-1)
+    r, c = np.nonzero(cls[:, None] == cls)
     M = np.zeros((basis.size, basis.size), dtype=complex)
     M[r, c] = W[H[c, j - 1], H[c, 1 if seam else j + 1], H[r, j], H[c, j]]
-    return LinearOp(basis, M, (j,), name)
+    return LinearOp(basis, M, name)
 
 
 def projector_op(cat: CategoryData, rho, chi, j, basis: FusionTreeBasis) -> LinearOp:
@@ -210,7 +204,7 @@ def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> 
     basis.check_dense()
     n, L = basis.size, basis.L
     if L == 0:
-        return LinearOp(basis, np.eye(n, dtype=complex), (), "T")
+        return LinearOp(basis, np.eye(n, dtype=complex), "T")
     amps = {chi: amplitude_at(solution, chi, mu) for chi in solution.channels}
     T = np.ones((n, n), dtype=complex)
     if n:               # an empty basis reads no F
@@ -218,4 +212,4 @@ def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> 
         H = basis.heights[:, :L]
         for j in range(L):
             T *= W[H[:, j - 1, None], H[:, (j + 1) % L], H[:, j, None], H[:, j]]
-    return LinearOp(basis, T, tuple(range(1, L + 1)), "T")
+    return LinearOp(basis, T, "T")

@@ -147,8 +147,12 @@ SU2_3 = ["--family", "su2", "--level", "3", "--rho", "1/2", "--phi", "1"]
     ["verify", "current", *SU2_3, "--samples", "-3"],
     ["verify", "current", *SU2_3, "--tol", "0"],
     ["verify", "current", *SU2_3, "--tol", "nan"],
+    ["verify", "braid", *SU2_3, "--L", "1"],
+    ["verify", "braid", *SU2_3, "--L", "2"],
+    ["verify", "projectors", *SU2_3[:-2], "--L", "1"],
+    ["verify", "projectors", *SU2_3[:-2], "--L", "2000"],
 ], ids=["mu-abc", "export-no-dir", "loop-q0", "L0", "samples0", "samples-3",
-        "tol0", "tol-nan"])
+        "tol0", "tol-nan", "braid-L1", "braid-L2", "projectors-L1", "projectors-L2000"])
 def test_bad_input_exits_2(args, tmp_path):
     missing = str(tmp_path / "no-such-dir" / "cat.json")
     rc, _, err = run_cli([a.replace("{missing}", missing) for a in args])
@@ -158,14 +162,28 @@ def test_bad_input_exits_2(args, tmp_path):
 
 
 def test_dense_budget_refuses_a_large_basis_with_exit_2():
-    # dim 17,994: one dense operator would need 5.2 GB
+    # dim 6,723: one dense transfer matrix would need 0.7 GB
     t = time.perf_counter()
-    rc, _, err = run_cli(["verify", "projectors", "--family", "su2", "--level", "5",
-                          "--rho", "1", "--L", "10"])
+    rc, _, err = run_cli(["verify", "transfer", "--family", "su2", "--level", "10",
+                          "--rho", "1", "--phi", "1", "--L", "8"])
     assert rc == 2
-    assert "17994" in err and "4096" in err
+    assert "6723" in err and "4096" in err
     assert "Traceback" not in err
     assert time.perf_counter() - t < 30
+
+
+@pytest.mark.parametrize("args, dim", [
+    (["projectors", "--family", "su2", "--level", "5", "--rho", "1", "--L", "10"], 17994),
+    (["projectors", "--family", "su2", "--level", "3", "--rho", "1/2", "--L", "20"], 57314),
+    (["braid", *SU2_3, "--L", "20"], 57314),
+], ids=["projectors-su2_5", "projectors-su2_3", "braid-su2_3"])
+def test_local_checks_run_past_the_dense_budget(args, dim):
+    # the patch checks count the L-strand basis instead of building it
+    rc, out, _ = run_cli(["--format", "json", "verify", *args])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    assert doc["params"]["dim"] == dim and doc["params"]["L"] == int(args[-1])
 
 
 def _no_f(*args):

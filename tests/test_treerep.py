@@ -10,7 +10,8 @@ import baxcat as bx
 from baxcat import treerep
 from baxcat.errors import CapabilityError, DomainError, PoleError
 from baxcat.treerep import (OPEN, OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
-                            face_weights, projector_op, r_op, transfer_matrix)
+                            face_weights, path_counts, projector_op, r_op,
+                            transfer_matrix)
 
 
 def states(basis):
@@ -111,6 +112,22 @@ def test_enumeration_matches_the_literal_search(cat, rho):
     assert (OPEN, 0) in empty                   # an unreachable boundary, L = 0 included
     if not np.trace(adjacency_matrix(cat, rho)):
         assert (PERIODIC, 1) in empty           # a bipartite rho: odd periodic chains
+
+
+@pytest.mark.parametrize("cat, rho", [
+    (bx.build_su2k(3), 1), (bx.build_su2k(4), 2), (bx.build_minimal_A(5), 1),
+    (bx.build_tambara_yamagami(3), 3)], ids=["su2_3", "su2_4-spin1", "minimal_5", "ty_3-X"])
+def test_path_counts_count_the_open_basis(cat, rho):
+    n = cat.n_objects
+    into, out = path_counts(cat, rho, 7)
+    assert len(into) == len(out) == 8
+    for L in range(8):
+        H = enumerate_trees(cat, rho, L, OPEN_ALL).heights
+        assert into[L].tolist() == np.bincount(H[:, -1], minlength=n).tolist()
+        assert out[L].tolist() == np.bincount(H[:, 0], minlength=n).tolist()
+    # exact ints past the float range
+    into, _ = path_counts(cat, rho, 2000)
+    assert all(type(x) is int for x in into[-1]) and sum(into[-1]) > 10 ** 310
 
 
 def test_enumerate_requires_rules():
@@ -459,33 +476,24 @@ def test_operators_refuse_a_foreign_strand():
         r_op(bx.solve_central(cat, 2, 2), 2.0, 1, basis)
 
 
-def test_site_pairs_are_computed_once_per_site():
+def test_site_op_gathers_the_face_weight_on_pairs_that_agree_off_the_site():
     cat = bx.build_su2k(5)
     rho = 2
     sol = bx.solve_central(cat, rho, 2)
     for basis, j in ((enumerate_trees(cat, rho, 4, OPEN_ALL), 2),
                      (enumerate_trees(cat, rho, 4, PERIODIC), 4)):
-        first = r_op(sol, 1.3 + 0.2j, j, basis).matrix
-        pairs = basis.site_pairs(j)
-        second = r_op(sol, 1.3 + 0.2j, j, basis).matrix
-        assert basis.site_pairs(j) is pairs
-        assert all(a is b for a, b in zip(basis.site_pairs(j), pairs))
-        assert not any(arr.flags.writeable for arr in pairs)
-        projector_op(cat, rho, 0, j, basis)
-        assert basis.site_pairs(j) is pairs
-        # the class partition each call used to recompute
+        got = r_op(sol, 1.3 + 0.2j, j, basis).matrix
+        # the state pairs that agree off site j (and off h_0 = h_L at the seam)
         seam = basis.bc == PERIODIC and j == basis.L
         rest = np.delete(basis.heights, [0, j] if seam else [j], axis=1)
         cls = np.unique(rest, axis=0, return_inverse=True)[1].reshape(-1)
         r, c = np.nonzero(cls[:, None] == cls)
-        assert np.array_equal(pairs[0], r) and np.array_equal(pairs[1], c)
         amps = {chi: bx.amplitude_at(sol, chi, 1.3 + 0.2j) for chi in sol.channels}
         W = face_weights(basis, rho, amps)
         H = basis.heights
-        want = np.zeros_like(first)
+        want = np.zeros_like(got)
         want[r, c] = W[H[c, j - 1], H[c, 1 if seam else j + 1], H[r, j], H[c, j]]
-        assert np.max(np.abs(first - want)) <= 1e-15
-        assert np.max(np.abs(second - want)) <= 1e-15
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_dense_operators_refuse_a_basis_over_the_budget(monkeypatch):

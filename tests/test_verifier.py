@@ -2,15 +2,17 @@
 positive checks honest."""
 
 import cmath
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import baxcat as bx
+import baxcat.verify as verify_mod
 from baxcat.errors import CapabilityError, DomainError
-from baxcat.verify import (cpl_enumerate, cpl_transfer, perturb_solution,
-                           random_solution)
+from baxcat.verify import (cpl_enumerate, cpl_transfer, mu_annulus,
+                           perturb_solution, random_solution)
 
 
 def solved(cat, rho, phi):
@@ -212,6 +214,151 @@ def test_braid_relations_report():
     assert rep.passed
     assert rep.check("reidemeister2").residual < 1e-9
     assert rep.check("reidemeister3").residual < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# patch checks against the dense L-strand products they replace
+
+
+def dense_projector_residuals(cat, rho, L):
+    """The projector-algebra residuals from dense operators on the L-strand
+    open basis: the max over sites of the Frobenius norm."""
+    basis = bx.enumerate_trees(cat, rho, L, "open_all")
+    sites = range(1, L)
+    eye = np.eye(basis.size)
+    fnorm = np.linalg.norm
+    chans = bx.fusion_product(cat, rho, rho)
+    P = {(c, j): bx.projector_op(cat, rho, c, j, basis).matrix for c in chans for j in sites}
+    out = {
+        "completeness": max(fnorm(sum(P[c, j] for c in chans) - eye) for j in sites),
+        "orthogonality": max(fnorm(P[c1, j] @ P[c2, j] - (P[c1, j] if c1 == c2 else 0.0))
+                             for j in sites for c1 in chans for c2 in chans),
+        "hermiticity": max(fnorm(p - p.conj().T) for p in P.values()),
+    }
+    if len(chans) == 2 and chans[0] == 0:
+        d = cat.dims[rho]
+        e = {j: d * P[0, j] for j in sites}
+        out["tl_quadratic"] = max(fnorm(e[j] @ e[j] - d * e[j]) for j in sites)
+        out["tl_cubic"] = max(max(fnorm(e[j] @ e[j + 1] @ e[j] - e[j]),
+                                  fnorm(e[j + 1] @ e[j] @ e[j + 1] - e[j + 1]))
+                              for j in sites[:-1])
+    return out
+
+
+def dense_braid_residuals(cat, rho, L, sol, seed, samples=2):
+    """The braid-relation residuals (max over sites) and the YBE residual at
+    j = 1 over the verifier's seeded mu pairs, from dense operators on the
+    L-strand open basis."""
+    basis = bx.enumerate_trees(cat, rho, L, "open_all")
+    sites = range(1, L)
+    eye = np.eye(basis.size)
+    fnorm = np.linalg.norm
+    B = {j: bx.braid_op(cat, rho, j, "over", basis).matrix for j in sites}
+    Bb = {j: bx.braid_op(cat, rho, j, "under", basis).matrix for j in sites}
+    out = {
+        "dim": basis.size,
+        "reidemeister2": max(fnorm(B[j] @ Bb[j] - eye) for j in sites),
+        "reidemeister3": max(fnorm(B[j] @ B[j + 1] @ B[j] - B[j + 1] @ B[j] @ B[j + 1])
+                             for j in sites[:-1]),
+        "distant_commutativity": max((fnorm(B[i] @ B[j] - B[j] @ B[i])
+                                      for i in sites for j in sites if j - i >= 2),
+                                     default=0.0),
+        "ybe_residual": 0.0,
+    }
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        mu1, mu2 = mu_annulus(rng, 2, avoid=sol.poles())
+        R = {(mu, j): bx.r_op(sol, mu, j, basis).matrix
+             for mu in (mu1, mu2, mu1 * mu2) for j in (1, 2)}
+        lhs = R[mu1, 1] @ R[mu1 * mu2, 2] @ R[mu2, 1]
+        rhs = R[mu2, 2] @ R[mu1 * mu2, 1] @ R[mu1, 2]
+        out["ybe_residual"] = max(out["ybe_residual"], fnorm(lhs - rhs) / fnorm(lhs))
+    return out
+
+
+def patch_residuals(cat, rho, L, sol, seed, samples=2, projectors=True):
+    reps = [bx.verify_braid_relations(cat, rho, L),
+            bx.verify_ybe(cat, rho, sol, L=L, samples=samples, seed=seed)]
+    if projectors:
+        reps.append(bx.verify_projector_algebra(cat, rho, L))
+    dims = {rep.params["dim"] for rep in reps}
+    assert len(dims) == 1
+    return {"dim": dims.pop(), **{c.name: c.residual for rep in reps for c in rep.checks}}
+
+
+def flip_one_nu(cat, rho):
+    """The category with nu_0^{rho rho} negated: a braid whose Reidemeister III
+    fails.  (Not every channel breaks it: flipping the spin-1 channel of
+    su(2)_4 with rho = 1 leaves Reidemeister III at rounding noise.)"""
+    nu = dict(cat.twists.nu)
+    nu[0, rho, rho] = -nu[0, rho, rho]
+    return dataclasses.replace(cat, twists=dataclasses.replace(cat.twists, nu=nu))
+
+
+PATCH_CASES = ([("su2", {"k": k}, "1/2", "1", L) for k in (3, 4) for L in range(3, 9)]
+               + [(family, params, rho, "1", L)
+                  for family, params, rho in (("su2", {"k": 4}, "1"),
+                                              ("minimal", {"k": 5}, "1"),
+                                              ("ty", {"M": 4}, "X"))
+                  for L in range(3, 7)])
+
+
+@pytest.mark.parametrize("family, params, rho, phi, L", PATCH_CASES)
+def test_patch_residuals_match_the_dense_products(family, params, rho, phi, L):
+    cat = bx.build_family(family, **params)
+    rho, phi = cat.label_id(rho), cat.label_id(phi)
+    sol = solved(cat, rho, phi)
+    seed = 100 + L
+    dense = {**dense_projector_residuals(cat, rho, L),
+             **dense_braid_residuals(cat, rho, L, sol, seed)}
+    patch = patch_residuals(cat, rho, L, sol, seed)
+    assert patch["dim"] == dense["dim"] == bx.enumerate_trees(cat, rho, L, "open_all").size
+    if L < 4:
+        assert patch["distant_commutativity"] == dense["distant_commutativity"] == 0.0
+    assert patch.pop("boundary_block_preservation") == 0.0
+    assert set(patch) == set(dense)
+    for name, want in dense.items():
+        assert abs(patch[name] - want) <= 1e-13, (name, patch[name], want)
+
+    # the same norms on broken data: one nu flipped breaks Reidemeister III,
+    # random constant amplitudes break the YBE
+    broken = flip_one_nu(cat, rho)
+    fake = random_solution(cat, rho, phi, seed=seed)
+    dense = dense_braid_residuals(broken, rho, L, fake, seed)
+    patch = patch_residuals(broken, rho, L, fake, seed, projectors=False)
+    for name in ("reidemeister3", "ybe_residual"):
+        assert dense[name] > 1e-3
+        assert abs(patch[name] - dense[name]) <= 1e-12 * dense[name], name
+
+
+def test_patch_checks_build_no_basis_on_the_L_strands(monkeypatch):
+    real, built = verify_mod.enumerate_trees, []
+
+    def record(cat, rho, L, bc):
+        built.append(L)
+        return real(cat, rho, L, bc)
+    monkeypatch.setattr(verify_mod, "enumerate_trees", record)
+    cat = bx.build_su2k(3)
+    sol = solved(cat, 1, 2)
+    reps = [bx.verify_projector_algebra(cat, 1, L=20), bx.verify_braid_relations(cat, 1, L=20),
+            bx.verify_ybe(cat, 1, sol, L=20, samples=2)]
+    assert all(rep.passed and rep.params["dim"] == 57314 for rep in reps)
+    assert max(built) <= 4
+
+
+@pytest.mark.parametrize("check, strands", [
+    (lambda cat, sol, L: bx.verify_projector_algebra(cat, 1, L), 2),
+    (lambda cat, sol, L: bx.verify_braid_relations(cat, 1, L), 3),
+    (lambda cat, sol, L: bx.verify_ybe(cat, 1, sol, L=L), 3),
+], ids=["projectors", "braid", "ybe"])
+def test_patch_checks_refuse_too_few_or_too_many_strands(check, strands):
+    cat = bx.build_su2k(3)
+    sol = solved(cat, 1, 2)
+    with pytest.raises(DomainError, match=f"at least {strands} strands, got L = {strands - 1}"):
+        check(cat, sol, strands - 1)
+    # 1.6^2000 height states: the path counts do not fit in a float
+    with pytest.raises(DomainError, match="L = 2000 strands of 1/2: more states than a float holds"):
+        check(cat, sol, 2000)
 
 
 # ---------------------------------------------------------------------------
