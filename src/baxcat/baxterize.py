@@ -8,13 +8,15 @@ admissible Boltzmann-weight ratio is
 a Moebius function of mu built purely from twist data.  A spanning tree of
 the tensor-product graph fixes every amplitude relative to the reference
 channel; each extra edge closes a cycle, decided by float sampling of the
-closing identity against `SOLVER_TOL`.  That decision is known to fail on
-long cycles: for ty with rho = X it calls consistent pairs INCONSISTENT at
-every even M >= 18 (ROADMAP item 1, exact amplitudes).
+closing identity against `SOLVER_TOL` on one shared grid of points, each
+amplitude evaluated at most once per point per solve.  That decision fails
+on long cycles: for ty with rho = X it calls consistent pairs INCONSISTENT
+at every even M >= 18 (ROADMAP item 1, exact amplitudes).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,13 +54,7 @@ class TensorProductGraph:
     oriented: bool
 
     def neighbours(self, a):
-        out = []
-        for x, y in self.edges:
-            if x == a:
-                out.append(y)
-            elif y == a:
-                out.append(x)
-        return sorted(set(out))
+        return sorted({y if x == a else x for x, y in self.edges if a in (x, y)})
 
 
 @dataclass(frozen=True)
@@ -169,20 +165,39 @@ def _edge_ratio_func(cat, rho, a, b) -> RationalFunction:
     return RationalFunction.linear_ratio(twist_edge_ratio(cat, rho, a, b))
 
 
-def _cycle_residual(fa, fb, ratio, need: int):
-    """max |A_b - A_a r| over `need` deterministic off-pole points, and the
-    number of points taken.  Candidates are golden-angle phases on a small
-    set of radii; one within 1e-8 of a pole of any factor is skipped."""
-    golden = (math.sqrt(5) - 1) / 2
-    radii = (0.47, 0.83, 1.31, 2.17, 3.59)
+@functools.cache
+def _grid_point(j: int) -> complex:
+    """The solver's j-th sample point, a golden-angle phase on one of five
+    radii: one grid, computed on first use and shared by every solve."""
+    golden, radii = (math.sqrt(5) - 1) / 2, (0.47, 0.83, 1.31, 2.17, 3.59)
+    return complex(radii[j % len(radii)] * np.exp(2j * math.pi * ((j * golden) % 1.0)))
+
+
+def _grid_values(fn):
+    """j -> fn at grid point j, or None within 1e-8 of a pole; memoised."""
+    memo = {}
+
+    def at(j):
+        if j not in memo:
+            try:
+                memo[j] = fn.evaluate(_grid_point(j), pole_tol=1e-8)
+            except PoleError:
+                memo[j] = None
+        return memo[j]
+    return at
+
+
+def _cycle_residual(amp_a, amp_b, ratio, need: int):
+    """max |A_b - A_a r| over the first `need` grid points where no value map
+    is at a pole, and the number taken; at most 200 * need points are tried."""
     res, taken = 0.0, 0
     for j in range(200 * need):
         if taken == need:
             break
-        mu = radii[j % len(radii)] * np.exp(2j * math.pi * ((j * golden) % 1.0))
-        try:
-            va, vb, vr = (fn.evaluate(mu, pole_tol=1e-8) for fn in (fa, fb, ratio))
-        except PoleError:
+        va = amp_a(j)
+        vb = None if va is None else amp_b(j)
+        vr = None if vb is None else ratio(j)
+        if vr is None:
             continue
         res = max(res, abs(vb - va * vr))
         taken += 1
@@ -242,10 +257,11 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSo
     tree_edges = {frozenset((v, parent[v])) for v in parent}
     closing = [e for e in graph.edges if frozenset(e) not in tree_edges]
     nsamp = 2 * max(1, len(graph.edges)) + 1
+    amps = {v: _grid_values(funcs[v]) for v in verts}
     cycles = []
     for a, b in closing:
-        res, taken = _cycle_residual(funcs[a], funcs[b],
-                                     _edge_ratio_func(cat, graph.rho, a, b), nsamp)
+        res, taken = _cycle_residual(amps[a], amps[b],
+                                     _grid_values(_edge_ratio_func(cat, graph.rho, a, b)), nsamp)
         cyc = tree_path(a, b) if parent else [a, b]
         cycles.append(CycleCheck(tuple(sorted(set(cyc))), (a, b), res, taken))
 

@@ -8,6 +8,7 @@ Identical argv and seed produce byte-identical JSON output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import sys
@@ -41,6 +42,17 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, got {text!r}")
         return val
     return parse
+
+
+def _finite_complex(text):
+    """argparse type: a complex number with finite real and imaginary parts."""
+    try:
+        val = complex(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid complex value: {text!r}") from None
+    if not cmath.isfinite(val):
+        raise argparse.ArgumentTypeError(f"expected a finite complex number, got {text!r}")
+    return val
 
 
 def _family_kwargs(args):
@@ -103,7 +115,12 @@ def _cmd_baxterize(args):
                 row["amplitudes"][cat.display(ch)] = fmt_complex(val)
                 lines.append(f"mu={mu}: A[{cat.display(ch)}] = {val:.12g}")
             for a, b in sol.graph.edges:
-                r = amplitude_at(sol, b, mu) / amplitude_at(sol, a, mu)
+                va, vb = amplitude_at(sol, a, mu), amplitude_at(sol, b, mu)
+                if va == 0 or vb == 0:
+                    raise PoleError(f"edge ({cat.display(a)}, {cat.display(b)}) at mu={mu}: "
+                                    f"A[{cat.display(a if va == 0 else b)}] = 0, so one of "
+                                    f"the edge's ratios has a pole", pole=mu)
+                r = vb / va
                 row["edge_ratios"][f"{cat.display(b)}/{cat.display(a)}"] = fmt_complex(r)
                 row["edge_ratios"][f"{cat.display(a)}/{cat.display(b)}"] = fmt_complex(1 / r)
                 lines.append(f"mu={mu}: A[{cat.display(b)}]/A[{cat.display(a)}] = {r:.12g}")
@@ -201,7 +218,7 @@ def build_parser():
     _add_family_args(p_bax)
     p_bax.add_argument("--rho", required=True)
     p_bax.add_argument("--phi", required=True)
-    p_bax.add_argument("--mu", action="append", default=[], type=complex,
+    p_bax.add_argument("--mu", action="append", default=[], type=_finite_complex,
                        help="evaluate amplitudes at this mu (repeatable; complex ok)")
     p_bax.set_defaults(func=_cmd_baxterize)
 
@@ -221,7 +238,8 @@ def build_parser():
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.add_argument("--tol", type=_positive(float),
                        help="residual tolerance (default: each check's own)")
-    p_ver.add_argument("--q", type=complex, default="0.80901699437494742+0.58778525229247314j",
+    p_ver.add_argument("--q", type=_finite_complex,
+                       default="0.80901699437494742+0.58778525229247314j",
                        help="loop-model q (verify loop only)")
     p_ver.set_defaults(func=_cmd_verify)
     return ap

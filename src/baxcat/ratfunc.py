@@ -1,7 +1,7 @@
 """Rational functions of the spectral parameter as complex coefficient arrays.
 
-Degrees stay tiny (bounded by the channel count), so plain convolution
-arithmetic is all that is needed; no symbolic engine.
+Degrees stay tiny (bounded by the channel count), so convolution products
+and Horner's rule on Python complexes suffice; no symbolic engine.
 """
 
 from __future__ import annotations
@@ -24,6 +24,14 @@ def _trim(coeffs: np.ndarray) -> np.ndarray:
     return c[: keep[-1] + 1] if keep.size else np.zeros(1, dtype=complex)
 
 
+def _horner(desc: list, mu: complex) -> complex:
+    """Descending coefficients `desc` at mu, in numpy polyval's operation order."""
+    acc = desc[0] + mu * 0
+    for c in desc[1:]:
+        acc = c + acc * mu
+    return acc
+
+
 class RationalFunction:
     """num(mu)/den(mu), coefficients ascending in mu."""
 
@@ -33,6 +41,8 @@ class RationalFunction:
         self._den_scale = float(np.max(np.abs(self.den)))
         if self._den_scale == 0.0:
             raise ZeroDivisionError("zero denominator polynomial")
+        self._num_desc = [complex(z) for z in self.num[::-1]]
+        self._den_desc = [complex(z) for z in self.den[::-1]]
 
     @staticmethod
     def one() -> "RationalFunction":
@@ -58,13 +68,12 @@ class RationalFunction:
 
     def evaluate(self, mu: complex, pole_tol: float = 1e-12) -> complex:
         mu = complex(mu)
-        den = complex(np.polynomial.polynomial.polyval(mu, self.den))
+        den = _horner(self._den_desc, mu)
         scale = self._den_scale * max(1.0, abs(mu)) ** (self.den.size - 1)
         if abs(den) <= pole_tol * scale:
             nearest = min(self.poles(), key=lambda p: abs(p - mu), default=mu)
             raise PoleError(f"evaluation at mu={mu} hits a pole near {nearest}", pole=nearest)
-        num = complex(np.polynomial.polynomial.polyval(mu, self.num))
-        return num / den
+        return _horner(self._num_desc, mu) / den
 
     def poles(self) -> list:
         if self.den.size <= 1:

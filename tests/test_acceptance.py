@@ -50,6 +50,22 @@ def test_criterion_1_loop_closed_form():
            f"(worst rel err {worst:.2e}, tol 1e-10)")
 
 
+def test_su2_spin_half_weights_are_the_abf_face_weights():
+    # Andrews-Baxter-Forrester, J. Stat. Phys. 35 (1984) 193: with mu = e^{2iu}
+    # and lambda = pi/(k+2), R(mu) is proportional to sin(lambda - u) 1 + sin(u) e_j,
+    # so A_0/A_1 - 1 = d sin(u)/sin(lambda - u) with d = 2 cos(lambda)
+    worst = 0.0
+    for k in range(2, 13):
+        sol = bx.solve_central(bx.build_su2k(k), 1, 2)          # rho = 1/2, phi = 1
+        lam = math.pi / (k + 2)
+        for u in (0.1 + 0.05j, 0.37 - 0.2j, -0.6 + 0.3j, 1.1 + 0.7j):
+            expect = 2 * math.cos(lam) * cmath.sin(u) / cmath.sin(lam - u)
+            worst = max(worst, rel_err(ratio(sol, 0, 2, cmath.exp(2j * u)) - 1, expect))
+    report("ABF", worst < 1e-12,
+           f"su2 spin-1/2 weights are the ABF face weights for k=2..12 "
+           f"(worst rel err {worst:.2e}, tol 1e-12)")
+
+
 def test_criterion_2_lie_twist_only():
     worst = 0.0
     for n in (4, 5, 6, 7):

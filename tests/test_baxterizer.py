@@ -4,6 +4,7 @@ import cmath
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -411,6 +412,59 @@ def test_cycle_checks_match_the_two_pass_sampler_bit_for_bit():
     assert inconsistent["ty_18"] == [(18, p) for p in (1, 3, 6, 12, 15, 17)]
     assert inconsistent["ty_24"] == [(24, p) for p in (1, 5, 7, 11, 13, 17, 19, 23)]
     assert "ty_5" not in inconsistent
+
+
+def _polyval_evaluate(fn, mu, pole_tol):
+    """Reference: the evaluator as numpy's polyval computed it; None at a pole."""
+    mu = complex(mu)
+    den = complex(np.polynomial.polynomial.polyval(mu, fn.den))
+    scale = float(np.max(np.abs(fn.den))) * max(1.0, abs(mu)) ** (fn.den.size - 1)
+    if abs(den) <= pole_tol * scale:
+        return None
+    return complex(np.polynomial.polynomial.polyval(mu, fn.num)) / den
+
+
+def _bits(z):
+    return None if z is None else struct.pack("<dd", z.real, z.imag)
+
+
+def test_evaluate_matches_polyval_bit_for_bit():
+    golden = (math.sqrt(5) - 1) / 2
+    radii = (0.47, 0.83, 1.31, 2.17, 3.59)
+    grid = [complex(radii[j % 5] * np.exp(2j * math.pi * ((j * golden) % 1.0)))
+            for j in range(16)]
+    rng = np.random.default_rng(12)
+    seeded = [complex(z) for z in rng.normal(size=4) + 1j * rng.normal(size=4)]
+    cats = ([bx.build_su2k(k) for k in range(1, 11)]
+            + [bx.build_minimal_A(k) for k in range(1, 9)]
+            + [bx.build_tambara_yamagami(M) for M in (5, 18, 24)]
+            + [bx.build_family("so", n=5, k=2), bx.build_family("sp", m=3, k=1),
+               bx.build_family("g2", k=2)])
+    checked = poles = 0
+    seen = set()
+    for cat in cats:
+        for row in bx.classify_pairs(cat):
+            for fn in bx.solve_central(cat, row.rho, row.phi).funcs.values():
+                key = (fn.num.tobytes(), fn.den.tobytes())
+                if key in seen:
+                    continue
+                seen.add(key)
+                # points just off each pole put the pole test on both sides of its thresholds
+                near = [p + d for p in fn.poles() for d in (1e-13, 3e-13, 1e-12, 3e-12, 1e-10,
+                                                             3e-9, 1e-8, 3e-8, 1e-7)]
+                for mu in grid + seeded + near:
+                    for tol in (1e-12, 1e-8):
+                        expect = _polyval_evaluate(fn, mu, tol)
+                        try:
+                            got = fn.evaluate(mu, pole_tol=tol)
+                        except PoleError:
+                            got = None
+                        assert _bits(got) == _bits(expect), (cat.name, row, mu, tol)
+                        checked += 1
+                        poles += got is None
+    # the solver samples the same grid
+    assert [_bits(bx.baxterize._grid_point(j)) for j in range(16)] == [_bits(z) for z in grid]
+    assert checked > 10_000 and poles > 100, (checked, poles)
 
 
 def _so_doc(edit):

@@ -140,6 +140,9 @@ SU2_3 = ["--family", "su2", "--level", "3", "--rho", "1/2", "--phi", "1"]
 
 @pytest.mark.parametrize("args", [
     ["baxterize", *SU2_3, "--mu", "abc"],
+    ["baxterize", *SU2_3, "--mu=nan"],
+    ["baxterize", *SU2_3, "--mu=inf"],
+    ["verify", "loop", "--q", "nan"],
     ["baxterize", *SU2_3, "--export-category", "{missing}"],
     ["verify", "loop", "--q", "0"],
     ["verify", "transfer", *SU2_3, "--L", "0"],
@@ -151,14 +154,24 @@ SU2_3 = ["--family", "su2", "--level", "3", "--rho", "1/2", "--phi", "1"]
     ["verify", "braid", *SU2_3, "--L", "2"],
     ["verify", "projectors", *SU2_3[:-2], "--L", "1"],
     ["verify", "projectors", *SU2_3[:-2], "--L", "2000"],
-], ids=["mu-abc", "export-no-dir", "loop-q0", "L0", "samples0", "samples-3",
-        "tol0", "tol-nan", "braid-L1", "braid-L2", "projectors-L1", "projectors-L2000"])
+], ids=["mu-abc", "mu-nan", "mu-inf", "q-nan", "export-no-dir", "loop-q0", "L0", "samples0",
+        "samples-3", "tol0", "tol-nan", "braid-L1", "braid-L2", "projectors-L1",
+        "projectors-L2000"])
 def test_bad_input_exits_2(args, tmp_path):
     missing = str(tmp_path / "no-such-dir" / "cat.json")
     rc, _, err = run_cli([a.replace("{missing}", missing) for a in args])
     assert rc == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+def test_zero_amplitude_is_a_pole_of_the_edge_ratio_and_exits_2():
+    # mu = exp(2 pi i/5) is an exact zero of A[1] at su(2)_3, so A[0]/A[1] has a pole
+    rc, out, err = run_cli(["baxterize", *SU2_3,
+                            "--mu=0.30901699437494745+0.95105651629515353j"])
+    assert rc == 2 and out == ""
+    assert err == ("error: edge (0, 1) at mu=(0.30901699437494745+0.9510565162951535j): "
+                   "A[1] = 0, so one of the edge's ratios has a pole\n")
 
 
 def test_dense_budget_refuses_a_large_basis_with_exit_2():
