@@ -16,12 +16,11 @@ at every even M >= 18 (ROADMAP item 1, exact amplitudes).
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .category import CategoryData, fusion_product, twist_edge_ratio
 from .errors import DomainError, PoleError
@@ -127,12 +126,13 @@ def build_tp_graph(cat: CategoryData, rho, phi) -> TensorProductGraph:
     """Vertices = channels of rho x rho; edge (a, b) when N_{a phi}^b != 0."""
     rho, phi = cat.check_label(rho), cat.check_label(phi)
     if cat.rules is not None:
-        if not cat.rules.N[phi, rho, rho]:
+        if not cat.rules.admits(phi, rho, rho):
             raise DomainError(
                 f"current termination fails: {cat.display(rho)} is not in "
                 f"{cat.display(phi)} x {cat.display(rho)}")
         verts = _channels_of(cat, rho)
-        pairs = [(a, b) for a, b in itertools.product(verts, repeat=2) if cat.rules.N[a, phi, b]]
+        pairs = [(a, b) for a, b in itertools.product(verts, repeat=2)
+                 if cat.rules.admits(a, phi, b)]
     else:
         if cat.tp_adjacency is None or phi not in cat.tp_adjacency:
             raise DomainError(f"{cat.name}: no declared tensor-product graph for phi="
@@ -170,7 +170,7 @@ def _grid_point(j: int) -> complex:
     """The solver's j-th sample point, a golden-angle phase on one of five
     radii: one grid, computed on first use and shared by every solve."""
     golden, radii = (math.sqrt(5) - 1) / 2, (0.47, 0.83, 1.31, 2.17, 3.59)
-    return complex(radii[j % len(radii)] * np.exp(2j * math.pi * ((j * golden) % 1.0)))
+    return radii[j % len(radii)] * cmath.exp(2j * math.pi * ((j * golden) % 1.0))
 
 
 def _grid_values(fn):
@@ -305,7 +305,7 @@ def classify_pairs(cat: CategoryData):
         rhos = [cat.rho_declared]
     for rho in rhos:
         if cat.rules is not None:
-            phis = [p for p in range(1, cat.n_objects) if cat.rules.N[p, rho, rho]]
+            phis = [p for p in range(1, cat.n_objects) if cat.rules.admits(p, rho, rho)]
         else:
             phis = sorted(cat.tp_adjacency)
         for phi in phis:

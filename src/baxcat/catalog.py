@@ -6,7 +6,8 @@ Twist-only families (spins, signs and declared tensor-product adjacency,
 no fusion tensor): so(n)_k, sp(2m)_k, (G_2)_k.
 
 F tables are built on the first read of `CategoryData.f.blocks`: solving and
-classifying use twist data only, so they never pay for one.
+classifying use twist data only, so they never pay for one, nor for numpy,
+which only the F builders import.
 
 `FAMILIES` is the one registry of them: `build_family`, `catalog list` and the
 command-line family flags and their bounds are all read from it.
@@ -20,8 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable
-
-import numpy as np
 
 from .category import (CategoryData, FSymbolTable, FusionRules, ObjectLabel,
                        QuantumDims, TwistData)
@@ -54,18 +53,14 @@ def spin_display(A: int) -> str:
 
 def _su2_rules(k: int) -> FusionRules:
     n = k + 1
-    N = np.zeros((n, n, n), dtype=np.uint8)
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if su2_admissible(a, b, c, k):
-            N[a, b, c] = 1
-    return FusionRules(n, N, tuple(range(n)))
+    return FusionRules.from_triples(n, (t for t in itertools.product(range(n), repeat=3)
+                                        if su2_admissible(*t, k)), range(n))
 
 
 def _su2_dims(k: int) -> QuantumDims:
     s0 = math.sin(math.pi / (k + 2))
-    d = np.array([math.sin((A + 1) * math.pi / (k + 2)) / s0 for A in range(k + 1)])
-    d[0] = 1.0
-    return QuantumDims(d)
+    return QuantumDims((1.0,) + tuple(math.sin((A + 1) * math.pi / (k + 2)) / s0
+                                      for A in range(1, k + 1)))
 
 
 def _su2_nu(k: int) -> dict:
@@ -129,6 +124,7 @@ def ty_f_blocks(M: int) -> dict:
     the placement below passes the pentagon for every M.  The matrices are
     read-only.
     """
+    import numpy as np
     X = M
     omega = np.exp(2j * np.pi / M)
     lab = range(M + 1)
@@ -170,25 +166,18 @@ def build_tambara_yamagami(M: int) -> CategoryData:
     X = M
     n = M + 1
     labels = tuple(ObjectLabel(a, str(a)) for a in range(M)) + (ObjectLabel(X, "X"),)
-    N = np.zeros((n, n, n), dtype=np.uint8)
-    for a, b in itertools.product(range(n), repeat=2):
-        for c in _ty_fusion(a, b, M):
-            N[a, b, c] = 1
     dual = tuple((M - a) % M for a in range(M)) + (X,)
-    rules = FusionRules(n, N, dual)
-    d = np.ones(n)
-    d[X] = math.sqrt(M)
+    rules = FusionRules.from_triples(n, ((a, b, c) for a, b in itertools.product(range(n), repeat=2)
+                                         for c in _ty_fusion(a, b, M)), dual)
     Delta = tuple(Fraction(a * (M - a), M) for a in range(M)) + (Fraction(1, 16),)
-    nu = {}
-    for a, b, c in itertools.product(range(n), repeat=3):
-        if N[b, c, a]:
-            nu[(a, b, c)] = 1
+    nu = {(a, b, c): 1 for a, b, c in itertools.product(range(n), repeat=3)
+          if rules.admits(b, c, a)}
     return CategoryData(
         name=f"ty_{M}",
         labels=labels,
         twists=TwistData(Delta, nu),
         rules=rules,
-        dims=QuantumDims(d),
+        dims=QuantumDims((1.0,) * M + (math.sqrt(M),)),
         f=FSymbolTable(lambda: ty_f_blocks(M)),
         notes=("Delta_X is a placeholder unused by the solver; braid phases "
                "involving it are global and cancel in every relation",),

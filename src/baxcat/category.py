@@ -13,6 +13,10 @@ x*y and v over y*z.  The two-index symbol written ``F_{tt'}[r s; a b]`` is
 special-value and rotation identities below hold with positive square roots;
 correctness of a table means passing `check_f_identities`, not matching any
 published gauge.
+
+Labels, fusion channels, spins and signs are plain Python data, so solving
+and classifying never load numpy: each function that computes with arrays
+(the F index, the identity checks, JSON with F) imports it where it runs.
 """
 
 from __future__ import annotations
@@ -21,10 +25,9 @@ import cmath
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import AxiomError, CapabilityError, DomainError
 from .report import VerificationReport, fmt_complex, fmt_float
@@ -38,26 +41,62 @@ class ObjectLabel:
 
 @dataclass(frozen=True)
 class FusionRules:
-    """Multiplicity-free fusion tensor N_{ab}^c in {0,1} with duality map."""
+    """Multiplicity-free fusion rules with duality map: `products[a][b]` is
+    the sorted tuple of channels c with N_{ab}^c = 1."""
 
     n_objects: int
-    N: np.ndarray               # shape (n, n, n), N[a, b, c] = N_{ab}^c
+    products: tuple
     dual: tuple
 
-    def fusion(self, a, b):
-        return [c for c in range(self.n_objects) if self.N[a, b, c]]
+    @classmethod
+    def from_triples(cls, n, triples, dual) -> "FusionRules":
+        """The rules with N_{ab}^c = 1 exactly on the (a, b, c) given."""
+        prods = [[set() for _ in range(n)] for _ in range(n)]
+        for a, b, c in triples:
+            prods[a][b].add(c)
+        return cls(n, tuple(tuple(tuple(sorted(cs)) for cs in row) for row in prods),
+                   tuple(dual))
 
-    def nhat(self, a) -> np.ndarray:
+    def admits(self, a, b, c) -> bool:
+        """N_{ab}^c != 0."""
+        return c in self.products[a][b]
+
+    def fusion(self, a, b):
+        return list(self.products[a][b])
+
+    @functools.cached_property
+    def N(self):
+        """N[a, b, c] = N_{ab}^c as a read-only uint8 array, built on first read."""
+        import numpy as np
+        n = self.n_objects
+        N = np.zeros((n, n, n), dtype=np.uint8)
+        for a, row in enumerate(self.products):
+            for b, cs in enumerate(row):
+                N[a, b, list(cs)] = 1
+        N.setflags(write=False)
+        return N
+
+    def nhat(self, a):
         # (N_a)_b^c = N_{ab}^c
         return self.N[a].astype(float)
 
 
 @dataclass(frozen=True)
 class QuantumDims:
-    d: np.ndarray
+    """Quantum dimensions as Python floats; `d` is the same as an array."""
+
+    values: tuple
 
     def __getitem__(self, a) -> float:
-        return float(self.d[a])
+        return self.values[a]
+
+    @functools.cached_property
+    def d(self):
+        """The dimensions as a read-only float array, built on first read."""
+        import numpy as np
+        d = np.array(self.values, dtype=float)
+        d.setflags(write=False)
+        return d
 
 
 @dataclass(frozen=True)
@@ -89,8 +128,9 @@ def f_keys(x, y, z, w, u, v):
     return ((((x * s + y) * s + z) * s + w) * s + u) * s + v
 
 
-def f_labels(keys) -> np.ndarray:
+def f_labels(keys):
     """The (x, y, z, w, u, v) rows of an int64 key array, inverse of `f_keys`."""
+    import numpy as np
     return keys[:, None] >> _KEY_BITS * np.arange(5, -1, -1) & (1 << _KEY_BITS) - 1
 
 
@@ -118,6 +158,7 @@ class FSymbolTable:
         """Every entry as read-only (keys, values): the sorted `f_keys` of the
         (x, y, z, w, u, v) tuples and their values, closed by a sentinel key
         above all others with value 0."""
+        import numpy as np
         size = sum(len(us) * len(vs) for us, vs, _ in self.blocks.values())
         labels = np.fromiter((t for key, (us, vs, _) in self.blocks.items()
                               for u in us for v in vs for t in (*key, u, v)),
@@ -143,8 +184,9 @@ class FSymbolTable:
         keys, vals = self.flat
         return dict(zip(keys[:-1].tolist(), vals[:-1].tolist()))
 
-    def gather(self, x, y, z, w, u, v) -> np.ndarray:
+    def gather(self, x, y, z, w, u, v):
         """[F^{xyz}_w]_{uv} over label arrays, 0 where the table has no entry."""
+        import numpy as np
         keys, vals = self.flat
         q = f_keys(*(np.asarray(t, dtype=np.int64) for t in (x, y, z, w, u, v)))
         pos = np.searchsorted(keys, q)
@@ -196,9 +238,13 @@ class CategoryData:
         return {"baxterisable": self.baxterisable, "representable": self.representable}
 
     def check_label(self, a) -> int:
-        if not isinstance(a, (int, np.integer)) or not (0 <= a < self.n_objects):
+        try:
+            label = operator.index(a)       # an int, or an integer type such as numpy's
+        except TypeError:
+            label = -1
+        if not 0 <= label < self.n_objects:
             raise DomainError(f"invalid label {a!r} for {self.name}")
-        return int(a)
+        return label
 
     def display(self, a) -> str:
         return self.labels[self.check_label(a)].display
@@ -227,6 +273,7 @@ def check_fusion_ring(rules: FusionRules) -> VerificationReport:
 
     The report carries the first counterexample of each failing axiom.
     """
+    import numpy as np
     n = rules.n_objects
     N = rules.N
     rep = VerificationReport("fusion_ring", params={"n_objects": n})
@@ -259,12 +306,13 @@ def check_fusion_ring(rules: FusionRules) -> VerificationReport:
 
 def _first_true(mask):
     """Index of the first True entry in lexicographic order, or None."""
-    hits = np.argwhere(mask)
-    return tuple(int(i) for i in hits[0]) if len(hits) else None
+    hits = mask.nonzero()
+    return tuple(int(i[0]) for i in hits) if len(hits[0]) else None
 
 
 def compute_quantum_dims(rules: FusionRules) -> QuantumDims:
     """d_a = Perron eigenvalue of the fusion matrix of a; d_0 = 1 exactly."""
+    import numpy as np
     ring = check_fusion_ring(rules)
     if not ring.passed:
         failing = [c.name for c in ring.checks if not c.passed]
@@ -274,7 +322,7 @@ def compute_quantum_dims(rules: FusionRules) -> QuantumDims:
         ev = np.linalg.eigvals(rules.nhat(a))
         d[a] = float(np.max(ev.real))
     d[0] = 1.0
-    return QuantumDims(d)
+    return QuantumDims(tuple(d.tolist()))
 
 
 def _phase(frac: Fraction) -> complex:
@@ -317,6 +365,7 @@ def _fusion_csr(rules: FusionRules):
     """The admissible triples (x, y, z) as rows in lexicographic order, and
     `ptr` with the rows of x*n + y at ptr[x*n + y]:ptr[x*n + y + 1]; those of
     x alone are at ptr[x*n]:ptr[(x + 1)*n]."""
+    import numpy as np
     n = rules.n_objects
     trip = np.argwhere(rules.N)
     return trip, np.searchsorted(trip[:, 0] * n + trip[:, 1], np.arange(n * n + 1))
@@ -324,6 +373,7 @@ def _fusion_csr(rules: FusionRules):
 
 def _ranges(start, count):
     """(i, t) for every t in start[i]:start[i] + count[i], in order."""
+    import numpy as np
     i = np.repeat(np.arange(len(start)), count)
     return i, np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
 
@@ -331,6 +381,7 @@ def _ranges(start, count):
 def _join(tup, ptr, p, rows, cols):
     """Each row i of `tup` followed by columns `cols` of rows[ptr[p_i]:ptr[p_i + 1]],
     one output row per match, in order."""
+    import numpy as np
     i, t = _ranges(ptr[p], ptr[p + 1] - ptr[p])
     return np.column_stack((tup[i], rows[t, cols]))
 
@@ -340,6 +391,7 @@ def _cmul(x, y):
     the modulus as Python's abs rounds it, this keeps the residuals equal to a
     scalar loop's bit for bit (numpy's complex multiply and abs may round
     differently), so ties pick the same worst tuple."""
+    import numpy as np
     out = np.empty(len(x), dtype=complex)
     out.real = x.real * y.real - x.imag * y.imag
     out.imag = x.real * y.imag + x.imag * y.real
@@ -347,6 +399,7 @@ def _cmul(x, y):
 
 
 def _cabs(z):
+    import numpy as np
     return np.hypot(z.real, z.imag)
 
 
@@ -355,7 +408,7 @@ def _fold_worst(res, worst, where, tag):
     the first maximum wins, as a strict `>` scan would find it.  A NaN
     residual, from a NaN in F, counts as infinite, so such a table fails."""
     if len(res):
-        m = int(np.argmax(res))             # the first NaN, if there is one
+        m = int(res.argmax())               # the first NaN, if there is one
         r = math.inf if math.isnan(res[m]) else float(res[m])
         if r > worst:
             return r, tag(m)
@@ -375,6 +428,7 @@ def _pentagon_residual(cat: CategoryData, f: FSymbolTable):
     fusion triples in loop order, so the arrays stay small, and e in a x k is
     tested as soon as k is joined.
     """
+    import numpy as np
     n, N = cat.n_objects, cat.rules.N
     trip, ptr = _fusion_csr(cat.rules)
     ptr1 = ptr[::n]
@@ -410,6 +464,7 @@ def _f0_residual(cat: CategoryData, f: FSymbolTable):
     domain.  Worst tuples are taken in the order of the loop: per (a, r) the
     blocks [F^{ar0}_b], then the s0 entries; then the 0s entries.
     """
+    import numpy as np
     n, d = cat.n_objects, cat.dims.d
     selfdual = np.array(cat.rules.dual) == np.arange(n)
     trip, ptr = _fusion_csr(cat.rules)
@@ -452,6 +507,7 @@ def _usefulid_residual(cat: CategoryData, f: FSymbolTable):
     from the self-dual fusion triples one a at a time, in the loop order
     a, b, c; G, A with b in G x A; B in a x G with c in B x A.
     """
+    import numpy as np
     n, N, d = cat.n_objects, cat.rules.N, cat.dims.d
     selfdual = np.array(cat.rules.dual) == np.arange(n)
     trip, ptr = _fusion_csr(cat.rules)
@@ -478,6 +534,7 @@ def _usefulid_residual(cat: CategoryData, f: FSymbolTable):
 def _unitarity_residual(f: FSymbolTable):
     """Max |U U^dagger - 1| over the blocks, in key order; a NaN counts as
     infinite and a non-square block as 1."""
+    import numpy as np
     keys = sorted(f.blocks)
     res = []
     for key in keys:
@@ -521,10 +578,10 @@ def category_to_json(cat: CategoryData) -> str:
     }
     if cat.rules is not None:
         doc["dual"] = [int(x) for x in cat.rules.dual]
-        doc["N"] = [[int(a), int(b), int(c)] for a, b, c in
-                    zip(*np.nonzero(cat.rules.N))]  # sparse triples, value always 1
+        doc["N"] = [[a, b, int(c)] for a, row in enumerate(cat.rules.products)
+                    for b, cs in enumerate(row) for c in cs]  # sparse triples, value always 1
     if cat.dims is not None:
-        doc["d"] = [fmt_float(x) for x in cat.dims.d]
+        doc["d"] = [fmt_float(x) for x in cat.dims.values]
     if cat.f is not None:
         keys, vals = cat.f.flat
         doc["F"] = [[*row, fmt_complex(val)] for row, val in
@@ -630,17 +687,16 @@ def category_from_json(text: str) -> CategoryData:
     twists = TwistData(tuple(Delta), nu)
     rules = None
     if "N" in doc:
-        N = np.zeros((n, n, n), dtype=np.uint8)
-        for a, b, c in _check_rows("N", _doc_get(doc, "N"), n, 3, 3):
-            N[a, b, c] = 1
+        triples = _check_rows("N", _doc_get(doc, "N"), n, 3, 3)
         dual = _check_labels("dual", _doc_get(doc, "dual", length=n), n)
-        rules = FusionRules(n, N, tuple(dual))
+        rules = FusionRules.from_triples(n, triples, dual)
     dims = None
     if "d" in doc:
-        dims = QuantumDims(np.array(_convert("d", _doc_get(doc, "d", length=n), _positive,
-                                             "a positive finite number")))
+        dims = QuantumDims(tuple(_convert("d", _doc_get(doc, "d", length=n), _positive,
+                                          "a positive finite number")))
     f = None
     if "F" in doc:
+        import numpy as np
         rows = _check_rows("F", _doc_get(doc, "F"), n, 7, 6)
         vals = _convert("F", [row[6] for row in rows], _complex_pair,
                         "a finite [real, imag] pair")

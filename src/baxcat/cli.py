@@ -18,13 +18,6 @@ from .catalog import FAMILIES, build_family, catalog_rows
 from .category import category_to_json
 from .errors import AxiomError, CapabilityError, DomainError, PoleError
 from .report import fmt_complex, fmt_float
-from .verify import (loop_functional_check, loop_partition_enumeration,
-                     loop_partition_transfer, mu_annulus,
-                     verify_braid_limits, verify_braid_relations,
-                     verify_commuting_transfer, verify_current_vertex,
-                     verify_projector_algebra, verify_ybe)
-
-import numpy as np
 
 # `verify loop` also compares the 2x2 loop partition function computed by
 # enumeration and by transfer matrix; --tol does not move this gate
@@ -146,6 +139,15 @@ def _cmd_classify(args):
 
 
 def _cmd_verify(args):
+    # the verifiers compute with arrays, so only this command loads numpy
+    import numpy as np
+
+    from .verify import (loop_functional_check, loop_partition_enumeration,
+                         loop_partition_transfer, mu_annulus,
+                         verify_braid_limits, verify_braid_relations,
+                         verify_commuting_transfer, verify_current_vertex,
+                         verify_projector_algebra, verify_ybe)
+
     tol = {} if args.tol is None else {"tol": args.tol}
     if args.check == "loop":
         rng = np.random.default_rng(args.seed)

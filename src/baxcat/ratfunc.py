@@ -1,27 +1,39 @@
-"""Rational functions of the spectral parameter as complex coefficient arrays.
+"""Rational functions of the spectral parameter as complex coefficient tuples.
 
 Degrees stay tiny (bounded by the channel count), so convolution products
-and Horner's rule on Python complexes suffice; no symbolic engine.
+and Horner's rule on Python complexes suffice; no symbolic engine, and numpy
+only to find poles.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import cmath
+import math
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 _TRIM = 1e-14
 
 
-def _trim(coeffs: np.ndarray) -> np.ndarray:
-    c = np.asarray(coeffs, dtype=complex)
-    if c.ndim != 1 or c.size == 0:
-        raise ValueError("coefficients must be a nonempty 1-d sequence")
-    scale = np.max(np.abs(c))
-    if scale == 0.0:
-        return np.zeros(1, dtype=complex)
-    keep = np.nonzero(np.abs(c) > _TRIM * scale)[0]
-    return c[: keep[-1] + 1] if keep.size else np.zeros(1, dtype=complex)
+def _trim(coeffs) -> tuple:
+    """The coefficients as Python complexes, without trailing ones below
+    _TRIM times the largest; all zero gives (0j,)."""
+    c = tuple(complex(z) for z in coeffs)
+    if not c:
+        raise ValueError("coefficients must be a nonempty sequence")
+    cut = _TRIM * max(abs(z) for z in c)
+    keep = [i for i, z in enumerate(c) if abs(z) > cut]
+    return c[: keep[-1] + 1] if keep else (0j,)
+
+
+def _convolve(a, b) -> list:
+    """Coefficients of the product of two polynomials; each sum runs in
+    ascending order of a's index."""
+    out = [0j] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
 
 
 def _horner(desc: list, mu: complex) -> complex:
@@ -38,11 +50,11 @@ class RationalFunction:
     def __init__(self, num, den):
         self.num = _trim(num)
         self.den = _trim(den)
-        self._den_scale = float(np.max(np.abs(self.den)))
+        self._den_scale = max(abs(z) for z in self.den)
         if self._den_scale == 0.0:
             raise ZeroDivisionError("zero denominator polynomial")
-        self._num_desc = [complex(z) for z in self.num[::-1]]
-        self._den_desc = [complex(z) for z in self.den[::-1]]
+        self._num_desc = list(self.num[::-1])
+        self._den_desc = list(self.den[::-1])
 
     @staticmethod
     def one() -> "RationalFunction":
@@ -60,25 +72,34 @@ class RationalFunction:
 
     @property
     def degree(self) -> int:
-        return max(self.num.size, self.den.size) - 1
+        return max(len(self.num), len(self.den)) - 1
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(np.convolve(self.num, other.num),
-                                np.convolve(self.den, other.den))
+        return RationalFunction(_convolve(self.num, other.num),
+                                _convolve(self.den, other.den))
 
     def evaluate(self, mu: complex, pole_tol: float = 1e-12) -> complex:
         mu = complex(mu)
         den = _horner(self._den_desc, mu)
-        scale = self._den_scale * max(1.0, abs(mu)) ** (self.den.size - 1)
-        if abs(den) <= pole_tol * scale:
+        try:
+            scale = self._den_scale * max(1.0, abs(mu)) ** (len(self.den) - 1)
+            at_pole = abs(den) <= pole_tol * scale
+        except OverflowError:               # |mu| ** degree leaves the float range
+            at_pole, den = False, math.nan
+        if at_pole:
             nearest = min(self.poles(), key=lambda p: abs(p - mu), default=mu)
             raise PoleError(f"evaluation at mu={mu} hits a pole near {nearest}", pole=nearest)
-        return _horner(self._num_desc, mu) / den
+        val = _horner(self._num_desc, mu) / den
+        if not cmath.isfinite(val):
+            raise DomainError(f"evaluation at mu={mu} overflows a complex float "
+                              f"(degree {self.degree})")
+        return val
 
     def poles(self) -> list:
-        if self.den.size <= 1:
+        if len(self.den) <= 1:
             return []
-        return [complex(z) for z in np.polynomial.polynomial.polyroots(self.den)]
+        from numpy.polynomial.polynomial import polyroots
+        return [complex(z) for z in polyroots(self.den)]
 
     def __repr__(self):
         return f"RationalFunction(num={list(self.num)}, den={list(self.den)})"

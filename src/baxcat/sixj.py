@@ -16,8 +16,6 @@ import itertools
 import math
 from functools import lru_cache
 
-import numpy as np
-
 
 def q_int(n: int, k: int) -> float:
     return math.sin(n * math.pi / (k + 2)) / math.sin(math.pi / (k + 2))
@@ -85,6 +83,7 @@ def su2k_f_blocks(k: int) -> dict:
     [F^{a r r}_a]_{s 0} and [F^{r r r}_r]_{0 s} positive, the three-way
     rotation identity, projector symmetry and vertex cancellation.
     """
+    import numpy as np
     lab = range(k + 1)
     blocks = {}
     for x, y, z, w in itertools.product(lab, repeat=4):

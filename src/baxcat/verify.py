@@ -8,6 +8,7 @@ annulus 0.2 < |mu| < 5 with small disks around poles excluded.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -469,15 +470,27 @@ def cpl_enumerate(d_rho, a1, c, Lx, Ly) -> complex:
     return total
 
 
+def _loop_partition(count, q, mu, Lx, Ly) -> complex:
+    """`count` at the conserved-current weights; DomainError naming q where
+    the sum leaves the complex float range."""
+    q = complex(q)
+    try:
+        z = count(q + 1 / q, 1.0, loop_c_ratio(q, mu), Lx, Ly)
+    except OverflowError:
+        z = complex("nan")
+    if not cmath.isfinite(z):
+        raise DomainError(f"loop weight q={q}: the {Lx}x{Ly} torus partition function "
+                          "overflows a complex float")
+    return z
+
+
 def loop_partition_enumeration(q, mu, Lx, Ly) -> complex:
     """Torus partition function of the completely packed loop model with the
     conserved-current weights: per-vertex weights A_1 = 1 and
     C = (mu - 1)/(q - q^{-1} mu), weight q + q^{-1} per closed loop."""
-    q = complex(q)
-    return cpl_enumerate(q + 1 / q, 1.0, loop_c_ratio(q, mu), Lx, Ly)
+    return _loop_partition(cpl_enumerate, q, mu, Lx, Ly)
 
 
 def loop_partition_transfer(q, mu, Lx, Ly) -> complex:
     """Same partition function through the connectivity-basis row transfer."""
-    q = complex(q)
-    return cpl_transfer(q + 1 / q, 1.0, loop_c_ratio(q, mu), Lx, Ly)
+    return _loop_partition(cpl_transfer, q, mu, Lx, Ly)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import baxcat as bx
+from baxcat import ratfunc
 from baxcat.baxterize import (CYCLE_CONSISTENT, INCONSISTENT, TREE_UNIQUE,
                               UNDERDETERMINED)
 from baxcat.errors import DomainError, PoleError
@@ -418,7 +419,7 @@ def _polyval_evaluate(fn, mu, pole_tol):
     """Reference: the evaluator as numpy's polyval computed it; None at a pole."""
     mu = complex(mu)
     den = complex(np.polynomial.polynomial.polyval(mu, fn.den))
-    scale = float(np.max(np.abs(fn.den))) * max(1.0, abs(mu)) ** (fn.den.size - 1)
+    scale = float(np.max(np.abs(fn.den))) * max(1.0, abs(mu)) ** (len(fn.den) - 1)
     if abs(den) <= pole_tol * scale:
         return None
     return complex(np.polynomial.polynomial.polyval(mu, fn.num)) / den
@@ -445,7 +446,7 @@ def test_evaluate_matches_polyval_bit_for_bit():
     for cat in cats:
         for row in bx.classify_pairs(cat):
             for fn in bx.solve_central(cat, row.rho, row.phi).funcs.values():
-                key = (fn.num.tobytes(), fn.den.tobytes())
+                key = (tuple(map(_bits, fn.num)), tuple(map(_bits, fn.den)))
                 if key in seen:
                     continue
                 seen.add(key)
@@ -465,6 +466,30 @@ def test_evaluate_matches_polyval_bit_for_bit():
     # the solver samples the same grid
     assert [_bits(bx.baxterize._grid_point(j)) for j in range(16)] == [_bits(z) for z in grid]
     assert checked > 10_000 and poles > 100, (checked, poles)
+
+
+def test_products_match_numpy_convolve(monkeypatch):
+    # numpy's convolve is the oracle for every product the solver forms on the
+    # classify corpus; its BLAS dot products may round differently, so the
+    # two agree to rounding, relative to the largest coefficient
+    products = []
+    real = ratfunc._convolve
+
+    def recording(a, b):
+        out = real(a, b)
+        products.append((a, b, out))
+        return out
+    monkeypatch.setattr(ratfunc, "_convolve", recording)
+    cats = ([bx.build_su2k(k) for k in range(1, 13)]
+            + [bx.build_minimal_A(k) for k in range(1, 9)]
+            + [bx.build_tambara_yamagami(M) for M in range(2, 25)])
+    for cat in cats:
+        bx.classify_pairs(cat)
+    assert len(products) > 5000
+    for a, b, out in products:
+        expect = np.convolve(a, b)
+        assert len(out) == len(expect)
+        assert np.max(np.abs(np.array(out) - expect)) <= 1e-15 * np.max(np.abs(expect)), (a, b)
 
 
 def _so_doc(edit):

@@ -16,10 +16,15 @@ from baxcat.category import (FSymbolTable, FusionRules, _pentagon_residual, _pha
 from baxcat.errors import AxiomError, CapabilityError, DomainError
 
 
+def _rules(N, dual):
+    """The fusion rules with N_{ab}^c = N[a, b, c] for a 0/1 array N."""
+    return FusionRules.from_triples(len(N), np.argwhere(N).tolist(), dual)
+
+
 def _single_object_rules():
     N = np.zeros((1, 1, 1), dtype=np.uint8)
     N[0, 0, 0] = 1
-    return FusionRules(1, N, (0,))
+    return _rules(N, (0,))
 
 
 def test_fusion_product_su2():
@@ -141,7 +146,7 @@ def test_check_fusion_ring_mutated():
     cat = bx.build_su2k(2)
     N = cat.rules.N.copy()
     N[2, 2, 2] = 1                      # k=2 forbids 1 x 1 -> 1
-    bad = FusionRules(3, N, cat.rules.dual)
+    bad = _rules(N, cat.rules.dual)
     rep = bx.check_fusion_ring(bad)
     check = rep.check("associativity")
     assert not check.passed
@@ -154,7 +159,7 @@ def test_check_fusion_ring_mutated():
     for _ in range(10):
         N = rules.N.copy()
         N[tuple(rng.integers(0, rules.n_objects, 3))] ^= 1
-        check = bx.check_fusion_ring(FusionRules(rules.n_objects, N, rules.dual)).check(
+        check = bx.check_fusion_ring(_rules(N, rules.dual)).check(
             "associativity")
         assert check.details.get("counterexample") == _first_nonassociative(N)
     # corruptions aimed at each of the other axioms, against their reference loops
@@ -172,7 +177,7 @@ def test_check_fusion_ring_mutated():
                 N[a, (a + 1 + b % (n - 1)) % n, c] ^= 1     # a != second index
             else:
                 N[a, b, 0] ^= 1
-            rep = bx.check_fusion_ring(FusionRules(n, N, rules.dual))
+            rep = bx.check_fusion_ring(_rules(N, rules.dual))
             assert not rep.check(target).passed
             for name, oracle in oracles.items():
                 assert rep.check(name).details.get("counterexample") == oracle(N), name

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import dataclasses
+import importlib
 import json
 import subprocess
 import sys
@@ -236,3 +237,52 @@ def test_export_category_builds_f(family, flag, kwarg, value, loader, monkeypatc
     eager = dataclasses.replace(bx.build_family(family, **{kwarg: value}),
                                 f=FSymbolTable(real(value)))
     assert path.read_text() == bx.category_to_json(eager)
+
+
+TY5_X = ["--family", "ty", "--M", "5", "--rho", "X", "--phi", "1"]
+
+
+@pytest.mark.parametrize("args, named", [
+    (["baxterize", *TY5_X, "--mu=1e200"], "mu=(1e+200+0j)"),
+    (["baxterize", *TY5_X, "--mu=1e155+1e155j"], "mu=(1e+155+1e+155j)"),
+    (["verify", "loop", "--q", "1e300", "--samples", "3"], "q=(1e+300+0j)"),
+], ids=["mu-1e200", "mu-1e155-1e155j", "q-1e300"])
+def test_finite_but_overflowing_mu_and_q_exit_2_naming_them(args, named):
+    # |mu|^2 and the loop weight's powers leave the float range
+    rc, out, err = run_cli(args)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_import_catalog_and_classify_load_no_numpy():
+    argvs = [["catalog", "list"]] + [
+        ["classify", "--family", family, *flags] for family, flags in (
+            ("su2", ["--level", "4"]), ("minimal", ["--level", "4"]), ("ty", ["--M", "6"]),
+            ("so", ["--n", "5", "--level", "2"]), ("sp", ["--m", "2", "--level", "3"]),
+            ("g2", ["--level", "1"]))]
+    code = (
+        "import contextlib, io, sys\n"
+        "import baxcat\n"
+        "loaded = ['numpy' in sys.modules]\n"
+        "from baxcat.cli import main\n"
+        f"for argv in {argvs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(argv) == 0\n"
+        "    loaded.append('numpy' in sys.modules)\n"
+        "print(loaded)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{[False] * (1 + len(argvs))}\n"
+
+
+def test_public_names_resolve():
+    for name in bx.__all__:
+        assert getattr(bx, name) is not None, name
+    assert bx.solve_central is importlib.import_module("baxcat.baxterize").solve_central
+    assert set(bx.__all__) <= set(dir(bx))
+    namespace = {}
+    exec("from baxcat import *", namespace)
+    assert set(bx.__all__) <= set(namespace)
+    with pytest.raises(AttributeError):
+        bx.no_such_name
