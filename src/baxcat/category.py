@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import json
 import math
 import operator
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AxiomError, CapabilityError, DomainError
-from .report import VerificationReport, fmt_complex, fmt_float
+from .report import VerificationReport, fmt_float
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,17 @@ class FSymbolTable:
         (x, y, z, w, u, v) tuples and their values, closed by a sentinel key
         above all others with value 0."""
         import numpy as np
-        size = sum(len(us) * len(vs) for us, vs, _ in self.blocks.values())
-        labels = np.fromiter((t for key, (us, vs, _) in self.blocks.items()
-                              for u in us for v in vs for t in (*key, u, v)),
-                             dtype=np.int64, count=6 * size).reshape(-1, 6)
+        blocks = self.blocks
+        us, vs, mats = zip(*blocks.values()) if blocks else ((), (), ())
+        nu, nv = (np.fromiter(map(len, t), np.int64, len(t)) for t in (us, vs))
+        labels = _block_rows(np.array(list(blocks), dtype=np.int64).reshape(-1, 4),
+                             np.fromiter(itertools.chain.from_iterable(us), np.int64, nu.sum()), nu,
+                             np.fromiter(itertools.chain.from_iterable(vs), np.int64, nv.sum()), nv)
+        vals = np.concatenate([np.zeros(0, complex), *map(np.ravel, mats)]).astype(complex)
         if labels.size and labels.max() >> _KEY_BITS:
             raise CapabilityError(f"F table labels reach {labels.max()}; "
                                   f"the flat index holds labels below {1 << _KEY_BITS}")
         keys = f_keys(*labels.T)
-        vals = np.fromiter((z for _, _, mat in self.blocks.values() for z in mat.ravel().tolist()),
-                           dtype=complex, count=size)
         if not np.all(keys[1:] > keys[:-1]):        # the built-in tables come sorted
             order = np.argsort(keys)
             keys, vals = keys[order], vals[order]
@@ -187,8 +189,12 @@ class FSymbolTable:
     def gather(self, x, y, z, w, u, v):
         """[F^{xyz}_w]_{uv} over label arrays, 0 where the table has no entry."""
         import numpy as np
+        return self.at(f_keys(*(np.asarray(t, dtype=np.int64) for t in (x, y, z, w, u, v))))
+
+    def at(self, q):
+        """The entries of an int64 array of `f_keys`, 0 where the table has none."""
+        import numpy as np
         keys, vals = self.flat
-        q = f_keys(*(np.asarray(t, dtype=np.int64) for t in (x, y, z, w, u, v)))
         pos = np.searchsorted(keys, q)
         out = vals[pos]
         out[keys[pos] != q] = 0
@@ -197,6 +203,39 @@ class FSymbolTable:
     def block_value(self, x, y, z, w, u, v):
         """[F^{xyz}_w]_{uv}, or None when the table has no such entry."""
         return self._values.get(f_keys(x, y, z, w, u, v))
+
+
+def _block_rows(heads, us, nu, vs, nv):
+    """The (x, y, z, w, u, v) rows of blocks whose (x, y, z, w) are `heads`:
+    block j is the product of its nu[j] labels u and nv[j] labels v, which
+    follow those of the blocks before it in `us` and `vs`, u-major."""
+    import numpy as np
+    i, t = _ranges(np.zeros_like(nu), nu * nv)          # block, entry in block
+    return np.column_stack((heads[i], us[(np.cumsum(nu) - nu)[i] + t // nv[i]],
+                            vs[(np.cumsum(nv) - nv)[i] + t % nv[i]]))
+
+
+def f_blocks(labels, vals) -> dict:
+    """The blocks {(x,y,z,w): (us, vs, matrix)} of entries sorted by their
+    (x, y, z, w, u, v) rows, each block the full product of its us and vs;
+    the matrices are read-only views of `vals`."""
+    import numpy as np
+    vals = np.array(vals, dtype=complex)
+    vals.setflags(write=False)
+    if not len(labels):
+        return {}
+    first = np.r_[True, np.any(labels[1:, :4] != labels[:-1, :4], axis=1)]
+    start = np.flatnonzero(first)
+    size = np.diff(np.r_[start, len(labels)])
+    nu = np.add.reduceat(first | np.r_[True, labels[1:, 4] != labels[:-1, 4]], start,
+                         dtype=np.int64)
+    ucol, vcol = labels[:, 4].tolist(), labels[:, 5].tolist()
+    blocks = {}
+    for head, s, m, nu_, nv in zip(labels[start, :4].tolist(), start.tolist(), size.tolist(),
+                                   nu.tolist(), (size // nu).tolist()):
+        blocks[tuple(head)] = (tuple(ucol[s:s + m:nv]), tuple(vcol[s:s + nv]),
+                               vals[s:s + m].reshape(nu_, nv))
+    return blocks
 
 
 @dataclass
@@ -415,6 +454,9 @@ def _fold_worst(res, worst, where, tag):
     return worst, where
 
 
+_PENTAGON_TERMS = 1 << 13    # pentagon terms per batch, which bounds its arrays
+
+
 def _pentagon_residual(cat: CategoryData, f: FSymbolTable):
     """Max |pentagon defect| with the offending label tuple.
 
@@ -424,34 +466,49 @@ def _pentagon_residual(cat: CategoryData, f: FSymbolTable):
         [F^{fcd}_e]_{gl} [F^{abl}_e]_{fk}
             = sum_{h in b x c} [F^{abc}_g]_{fh} [F^{ahd}_e]_{gk} [F^{bcd}_k]_{hl}.
 
-    For each outer (a, b, f) the tuples (c, g, d, e, l, k) are joined from the
-    fusion triples in loop order, so the arrays stay small, and e in a x k is
-    tested as soon as k is joined.
+    For each outer a the tuples are joined from the fusion triples in loop
+    order: (b, f, c, g) at once, then (d, e, l, k) in batches of about
+    `_PENTAGON_TERMS` terms of the sums, counted ahead from the fusion
+    rules.  Each sum over h stays in one batch, so no residual depends on
+    the batching.
     """
     import numpy as np
     n, N = cat.n_objects, cat.rules.N
     trip, ptr = _fusion_csr(cat.rules)
     ptr1 = ptr[::n]
-    gather = f.gather
+    Ni = N.astype(np.int64)
+    lk = np.einsum("cdl,bl->bcd", Ni, Ni.sum(2))     # (l, k) pairs of each (b, c, d)
+    # (d, e, l, k, h) terms of each (b, c, g)
+    terms = np.einsum("gde,bcd->bcg", Ni, lk) * Ni.sum(2)[:, :, None]
+    at = f.at
     worst, where = 0.0, None
-    for a, b, fa in trip.tolist():
-        T = trip[ptr1[fa]:ptr1[fa + 1], 1:]                              # c, g
-        T = _join(T, ptr1, T[:, 1], trip, slice(1, 3))                   # d, e
-        T = _join(T, ptr, T[:, 0] * n + T[:, 2], trip, slice(2, 3))      # l
-        T = _join(T, ptr, b * n + T[:, 4], trip, slice(2, 3))            # k
-        T = T[N[a, T[:, 5], T[:, 3]] != 0]
-        c, g, d, e, l, k = T.T
-        lhs = _cmul(gather(fa, c, d, e, g, l), gather(a, b, l, e, fa, k))
-        i, t = _ranges(ptr[b * n + c], ptr[b * n + c + 1] - ptr[b * n + c])
-        h = trip[t, 2]
-        terms = _cmul(_cmul(gather(a, b, c[i], g[i], fa, h),
-                            gather(a, h, d[i], e[i], g[i], k[i])),
-                      gather(b, c[i], d[i], k[i], h, l[i]))
-        rhs = np.empty(len(T), dtype=complex)
-        rhs.real = np.bincount(i, terms.real, len(T))
-        rhs.imag = np.bincount(i, terms.imag, len(T))
-        worst, where = _fold_worst(_cabs(lhs - rhs), worst, where, lambda m: tuple(
-            int(x) for x in (a, b, c[m], d[m], e[m], fa, g[m], l[m], k[m])))
+    for a in range(n):
+        S = trip[ptr1[a]:ptr1[a + 1], 1:]                                # b, f
+        S = _join(S, ptr1, S[:, 1], trip, slice(1, 3))                   # c, g
+        if not len(S):
+            continue
+        cum = np.cumsum(terms[S[:, 0], S[:, 2], S[:, 3]])
+        cuts = np.searchsorted(cum, np.arange(_PENTAGON_TERMS, cum[-1], _PENTAGON_TERMS), "right")
+        for lo, hi in itertools.pairwise([0, *cuts.tolist(), len(S)]):
+            if lo == hi:
+                continue
+            T = _join(S[lo:hi], ptr1, S[lo:hi, 3], trip, slice(1, 3))               # d, e
+            T = _join(T, ptr, T[:, 2] * n + T[:, 4], trip, slice(2, 3))             # l
+            T = _join(T, ptr, T[:, 0] * n + T[:, 6], trip, slice(2, 3))             # k
+            T = T[N[a, T[:, 7], T[:, 5]] != 0]
+            b, fa, c, g, d, e, l, k = T.T
+            lhs = _cmul(at(f_keys(fa, c, d, e, g, l)), at(f_keys(a, b, l, e, fa, k)))
+            i, t = _ranges(ptr[b * n + c], ptr[b * n + c + 1] - ptr[b * n + c])
+            h = trip[t, 2]
+            # each term's keys: the row's keys with h put in
+            prod = _cmul(_cmul(at(f_keys(a, b, c, g, fa, 0)[i] + h),
+                               at(f_keys(a, 0, d, e, g, k)[i] + (h << 4 * _KEY_BITS))),
+                         at(f_keys(b, c, d, k, 0, l)[i] + (h << _KEY_BITS)))
+            rhs = np.empty(len(T), dtype=complex)
+            rhs.real = np.bincount(i, prod.real, len(T))
+            rhs.imag = np.bincount(i, prod.imag, len(T))
+            worst, where = _fold_worst(_cabs(lhs - rhs), worst, where, lambda m: tuple(
+                int(x) for x in (a, b[m], c[m], d[m], e[m], fa[m], g[m], l[m], k[m])))
     return worst, where
 
 
@@ -547,8 +604,13 @@ def _unitarity_residual(f: FSymbolTable):
 
 def check_f_identities(cat: CategoryData, tol: float = 1e-10) -> VerificationReport:
     """Pentagon, special values, rotation identity and block unitarity."""
-    if not cat.representable:
+    if cat.f is None:
         raise CapabilityError(f"{cat.name} has no F-symbol table")
+    missing = [what for what, have in (("fusion rules", cat.rules),
+                                       ("quantum dimensions", cat.dims)) if have is None]
+    if missing:
+        raise CapabilityError(f"{cat.name} has F-symbols but no {' and no '.join(missing)} "
+                              "to check them against")
     rep = VerificationReport("f_identities", params={"category": cat.name})
     r, w = _pentagon_residual(cat, cat.f)
     rep.add("pentagon", r, tol, **({"worst_tuple": list(w)} if w else {}))
@@ -583,9 +645,7 @@ def category_to_json(cat: CategoryData) -> str:
     if cat.dims is not None:
         doc["d"] = [fmt_float(x) for x in cat.dims.values]
     if cat.f is not None:
-        keys, vals = cat.f.flat
-        doc["F"] = [[*row, fmt_complex(val)] for row, val in
-                    zip(f_labels(keys[:-1]).tolist(), vals[:-1].tolist())]
+        doc["F"] = cat.f                # written by `_f_json`
     if cat.channels is not None:
         doc["channels"] = list(cat.channels)
         doc["rho"] = cat.rho_declared
@@ -593,7 +653,24 @@ def category_to_json(cat: CategoryData) -> str:
                                for phi, edges in sorted(cat.tp_adjacency.items())}
     if cat.notes:
         doc["notes"] = list(cat.notes)
-    return json.dumps(doc, indent=1)
+    # json.dumps(doc, indent=1), one member at a time
+    return "{\n" + ",\n".join(f' "F": {_f_json(val)}' if key == "F" else
+                               json.dumps({key: val}, indent=1)[2:-2]
+                               for key, val in doc.items()) + "\n}"
+
+
+# one F row [x, y, z, w, u, v, [re, im]] as json.dumps(doc, indent=1) writes it,
+# with the digits of `fmt_float`
+_F_ROW = "  [\n" + "   %d,\n" * 6 + '   [\n    "%.17g",\n    "%.17g"\n   ]\n  ]'
+
+
+def _f_json(f: FSymbolTable) -> str:
+    """The exported "F" list: one `_F_ROW` per entry of `flat`."""
+    keys, vals = f.flat
+    cols = f_labels(keys[:-1]).T.tolist() + [vals[:-1].real.tolist(), vals[:-1].imag.tolist()]
+    if not cols[0]:
+        return "[]"
+    return "[\n" + ",\n".join(map(_F_ROW.__mod__, zip(*cols))) + "\n ]"
 
 
 def _doc_get(doc, key, kind=list, length=None):
@@ -642,6 +719,8 @@ def _convert(key, vals, fn, what):
 
 
 def _finite(x) -> float:
+    if isinstance(x, bool):             # JSON true and false are not numbers
+        raise TypeError(f"{x} is not a number")
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"{x} is not finite")
@@ -656,8 +735,57 @@ def _positive(x) -> float:
 
 
 def _complex_pair(val):
+    if not isinstance(val, list) or len(val) != 2:
+        raise ValueError(f"{val!r} is not a pair")
     re, im = val
     return complex(_finite(re), _finite(im))
+
+
+def _f_table(rows, vals, n, rules) -> FSymbolTable:
+    """The table of the checked F `rows` with values `vals`, each block
+    padded with zeros to the product of its u and v labels.  An entry given
+    twice raises DomainError, and one outside the fusion `rules` AxiomError,
+    naming the first row at fault; a block that is not square raises
+    AxiomError naming the first one in row order."""
+    import numpy as np
+    labels = np.array([row[:6] for row in rows], dtype=np.int64).reshape(-1, 6)
+    vals = np.array(vals, dtype=complex)
+    if not len(labels):
+        return FSymbolTable({})
+    order = np.lexsort(labels.T[::-1])
+    s = labels[order]
+    again = np.flatnonzero(np.all(s[1:] == s[:-1], axis=1))
+    if len(again):
+        i = int(order[again + 1].min())
+        raise DomainError(f"category JSON F[{i}] = {rows[i]!r}: entry "
+                          f"{tuple(rows[i][:6])} given twice")
+    if rules is not None:
+        x, y, z, w, u, v = labels.T
+        vertices = ((x, y, u), (u, z, w), (y, z, v), (x, v, w))
+        fused = [rules.N[t] != 0 for t in vertices]
+        bad = ~np.logical_and.reduce(fused)
+        if bad.any():
+            i = int(bad.argmax())
+            abc = next([int(a[i]) for a in t] for t, ok in zip(vertices, fused) if not ok[i])
+            raise AxiomError(f"category JSON F[{i}] = {rows[i]!r}: entry {tuple(rows[i][:6])} "
+                             f"breaks the fusion rules, N{abc} = 0")
+    # blocks in key order, with the ranks of u and of v in each
+    first = np.r_[True, np.any(s[1:, :4] != s[:-1, :4], axis=1)]
+    block, start = np.cumsum(first) - 1, np.flatnonzero(first)
+    ucat, urank = np.unique(block * n + s[:, 4], return_inverse=True)
+    vcat, vrank = np.unique(block * n + s[:, 5], return_inverse=True)
+    nu, nv = np.bincount(ucat // n), np.bincount(vcat // n)
+    if np.any(nu != nv):
+        skew = np.flatnonzero(nu != nv)
+        j = skew[np.minimum.reduceat(order, start)[skew].argmin()]
+        raise AxiomError(f"category JSON F block {tuple(s[start[j], :4].tolist())} is "
+                         f"{nu[j]}x{nv[j]}, not square")
+    off, size = np.cumsum(nu) - nu, nu * nu        # u's (and v's) of block j from off[j]
+    pos = (np.cumsum(size) - size)[block] + (urank - off[block]) * nu[block] + vrank - off[block]
+    padded = _block_rows(s[start, :4], ucat % n, nu, vcat % n, nu)
+    pvals = np.zeros(len(padded), dtype=complex)
+    pvals[pos] = vals[order]
+    return FSymbolTable(lambda: f_blocks(padded, pvals))
 
 
 def category_from_json(text: str) -> CategoryData:
@@ -696,29 +824,10 @@ def category_from_json(text: str) -> CategoryData:
                                           "a positive finite number")))
     f = None
     if "F" in doc:
-        import numpy as np
         rows = _check_rows("F", _doc_get(doc, "F"), n, 7, 6)
         vals = _convert("F", [row[6] for row in rows], _complex_pair,
                         "a finite [real, imag] pair")
-        blocks = {}
-        for i, (row, val) in enumerate(zip(rows, vals)):
-            ents = blocks.setdefault(tuple(row[:4]), {})
-            if tuple(row[4:6]) in ents:
-                raise DomainError(f"category JSON F[{i}] = {row!r}: entry "
-                                  f"{tuple(row[:6])} given twice")
-            ents[tuple(row[4:6])] = val
-        out = {}
-        for key, ents in blocks.items():
-            us = sorted({u for u, _ in ents})
-            vs = sorted({v for _, v in ents})
-            if len(us) != len(vs):
-                raise AxiomError(f"category JSON F block {key} is {len(us)}x{len(vs)}, "
-                                 "not square")
-            mat = np.zeros((len(us), len(vs)), dtype=complex)
-            for (u, v), val in ents.items():
-                mat[us.index(u), vs.index(v)] = val
-            out[key] = (tuple(us), tuple(vs), mat)
-        f = FSymbolTable(out)
+        f = _f_table(rows, vals, n, rules)
     channels = tp = None
     if "channels" in doc:
         channels = tuple(_check_labels("channels", _doc_get(doc, "channels"), n))

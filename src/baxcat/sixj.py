@@ -12,7 +12,6 @@ twist on the blocks whose three upper labels are all odd (see
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -63,6 +62,25 @@ def racah_sixj(A, B, E, C, D, F, k) -> float:
     return _tri(A, B, E, k) * _tri(E, C, D, k) * _tri(B, C, F, k) * _tri(A, F, D, k) * total
 
 
+def _racah_z_sums(A, B, E, C, D, F, QF):
+    """`racah_sixj`'s z-sums over label arrays, z outside, each term in the
+    scalar operation order; QF[m] is `_q_fact(m, k)`."""
+    import numpy as np
+    T = ((A + B + E) // 2, (E + C + D) // 2, (B + C + F) // 2, (A + F + D) // 2)
+    Q = ((A + B + C + D) // 2, (A + E + C + F) // 2, (B + E + D + F) // 2)
+    lo, hi = np.max(T, axis=0), np.min(Q, axis=0)
+    total = np.zeros(len(A))
+    for z in range(int(lo.min()), int(hi.max()) + 1):
+        on = np.flatnonzero((lo <= z) & (z <= hi))
+        term = (-1) ** z * QF[z + 1]
+        for t in T:
+            term = term / QF[z - t[on]]
+        for q in Q:
+            term = term / QF[q[on] - z]
+        total[on] += term
+    return total
+
+
 def _vertex_sign(x: int, y: int, u: int) -> int:
     """Gauge bit of the vertex (x, y; u): with q = (x - y + u)/2,
     r = (y + u - x)/2 and s = (x + y + u)/2, it is
@@ -82,25 +100,46 @@ def su2k_f_blocks(k: int) -> dict:
     The convention this fixes: F_{tt'}[r 0; a b] = +1 on its support,
     [F^{a r r}_a]_{s 0} and [F^{r r r}_r]_{0 s} positive, the three-way
     rotation identity, projector symmetry and vertex cancellation.
+
+    All entries are computed at once, as arrays: `racah_sixj`'s z-sum runs
+    with z outside, over the entries whose range holds z, and every term,
+    product and sign keeps the scalar operation order, so each value is the
+    one `racah_sixj` gives, bit for bit.
     """
+    from .category import f_blocks
+    return f_blocks(*_su2k_entries(k))           # cached and shared by su2 and minimal
+
+
+def _su2k_entries(k: int):
+    """The (x, y, z, w, u, v) rows of `su2k_f_blocks(k)`, in key order, and
+    their values."""
     import numpy as np
-    lab = range(k + 1)
-    blocks = {}
-    for x, y, z, w in itertools.product(lab, repeat=4):
-        us = tuple(u for u in lab if su2_admissible(x, y, u, k) and su2_admissible(u, z, w, k))
-        vs = tuple(v for v in lab if su2_admissible(y, z, v, k) and su2_admissible(x, v, w, k))
-        if not us or not vs:
-            continue
-        mat = np.zeros((len(us), len(vs)), dtype=complex)
-        sgn = (-1) ** ((x + y + z + w) // 2)
-        twist = x % 2 & y % 2 & z % 2         # Z_2 associator twist on the all-odd blocks
-        for i, u in enumerate(us):
-            for j, v in enumerate(vs):
-                val = sgn * math.sqrt(su2_qdim(u, k) * su2_qdim(v, k)) * racah_sixj(
-                    x, y, u, z, w, v, k)
-                flip = (twist + _vertex_sign(x, y, u) + _vertex_sign(u, z, w)
-                        + _vertex_sign(y, z, v) + _vertex_sign(x, v, w)) % 2
-                mat[i, j] = (-val if flip else val) + 0.0   # + 0.0 stores a zero as +0
-        mat.setflags(write=False)           # cached and shared by su2 and minimal
-        blocks[(x, y, z, w)] = (us, vs, mat)
-    return blocks
+    from .category import _block_rows
+    n = k + 1
+    A, B, C = np.ogrid[:n, :n, :n]
+    adm = ((A + B + C) % 2 == 0) & (abs(A - B) <= C) & (C <= np.minimum(A + B, 2 * k - A - B))
+    # the blocks (x, y, z, w) with their u and v channels, in key order
+    x, y, z, w = np.indices((n,) * 4).reshape(4, -1)
+    has_u = adm[x, y] & adm[:, z, w].T           # u in x*y, w in u*z
+    has_v = adm[y, z] & adm[x, :, w]             # v in y*z, w in x*v
+    keep = has_u.any(1) & has_v.any(1)
+    has_u, has_v = has_u[keep], has_v[keep]
+    rows = _block_rows(np.column_stack((x, y, z, w))[keep], np.nonzero(has_u)[1], has_u.sum(1),
+                       np.nonzero(has_v)[1], has_v.sum(1))
+    x, y, z, w, u, v = rows.T
+
+    QF = np.array([_q_fact(m, k) for m in range(2 * k + 2)])
+    total = _racah_z_sums(x, y, u, z, w, v, QF)
+
+    def tri(a, b, c):
+        return np.sqrt(QF[(-a + b + c) // 2] * QF[(a - b + c) // 2] * QF[(a + b - c) // 2]
+                       / QF[(a + b + c) // 2 + 1])
+
+    racah = tri(x, y, u) * tri(u, z, w) * tri(y, z, v) * tri(x, v, w) * total
+    qd = np.array([su2_qdim(a, k) for a in range(n)])
+    root = np.sqrt(qd[u] * qd[v])
+    val = np.where((x + y + z + w) // 2 % 2, -root, root) * racah
+    twist = x % 2 & y % 2 & z % 2                # Z_2 associator twist on the all-odd blocks
+    flip = (twist + _vertex_sign(x, y, u) + _vertex_sign(u, z, w)
+            + _vertex_sign(y, z, v) + _vertex_sign(x, v, w)) % 2
+    return rows, np.where(flip, -val, val) + 0.0  # + 0.0 stores a zero as +0

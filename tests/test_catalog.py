@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,7 @@ from baxcat.catalog import FAMILIES
 from baxcat.category import FSymbolTable
 from baxcat.cli import main
 from baxcat.errors import DomainError
-from baxcat.sixj import racah_sixj, su2_admissible, su2_qdim
+from baxcat.sixj import _vertex_sign, racah_sixj, su2_admissible, su2_qdim, su2k_f_blocks
 
 
 def test_su2_2_data():
@@ -221,6 +222,37 @@ def test_su2_gauge_moves_only_signs(k):
             magnitude = math.sqrt(su2_qdim(u, k) * su2_qdim(v, k)) * abs(
                 racah_sixj(x, y, u, z, w, v, k))
             assert abs(mat[i, j]) == magnitude and mat[i, j].imag == 0
+
+
+def scalar_su2k_f_blocks(k):
+    """The su(2)_k blocks one entry at a time, with one `racah_sixj` call each."""
+    lab = range(k + 1)
+    blocks = {}
+    for x, y, z, w in itertools.product(lab, repeat=4):
+        us = tuple(u for u in lab if su2_admissible(x, y, u, k) and su2_admissible(u, z, w, k))
+        vs = tuple(v for v in lab if su2_admissible(y, z, v, k) and su2_admissible(x, v, w, k))
+        if not us or not vs:
+            continue
+        mat = np.zeros((len(us), len(vs)), dtype=complex)
+        sgn = (-1) ** ((x + y + z + w) // 2)
+        twist = x % 2 & y % 2 & z % 2
+        for i, u in enumerate(us):
+            for j, v in enumerate(vs):
+                val = sgn * math.sqrt(su2_qdim(u, k) * su2_qdim(v, k)) * racah_sixj(
+                    x, y, u, z, w, v, k)
+                flip = (twist + _vertex_sign(x, y, u) + _vertex_sign(u, z, w)
+                        + _vertex_sign(y, z, v) + _vertex_sign(x, v, w)) % 2
+                mat[i, j] = (-val if flip else val) + 0.0
+        mat.setflags(write=False)
+        blocks[(x, y, z, w)] = (us, vs, mat)
+    return blocks
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_array_racah_table_pickles_as_the_scalar_one(k):
+    # same keys, label tuples, order and bits: the pickles are byte-identical
+    assert pickle.dumps(su2k_f_blocks(k)) == pickle.dumps(scalar_su2k_f_blocks(k))
+    assert all(not mat.flags.writeable for _, _, mat in su2k_f_blocks(k).values())
 
 
 @pytest.mark.parametrize("build, arg", [(bx.build_su2k, k) for k in range(1, 11)]

@@ -1,6 +1,7 @@
 """Axioms, dimensions, twists and the JSON round trip."""
 
 import cmath
+import dataclasses
 import itertools
 import json
 import math
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import baxcat as bx
-from baxcat.category import (FSymbolTable, FusionRules, _pentagon_residual, _phase,
-                             _usefulid_residual)
+from baxcat.category import (FSymbolTable, FusionRules, _pentagon_residual,
+                             _phase, _unitarity_residual, _usefulid_residual)
+from baxcat.report import fmt_complex
 from baxcat.errors import AxiomError, CapabilityError, DomainError
 
 
@@ -314,6 +316,37 @@ def test_json_round_trip_twist_only():
     assert bx.category_to_json(cat2) == text
 
 
+_WRITER_CASES = ([bx.build_family(family, **params) for family, params in (
+    ("su2", {"k": 4}), ("minimal", {"k": 3}), ("ty", {"M": 5}), ("so", {"n": 5, "k": 2}),
+    ("sp", {"m": 2, "k": 3}), ("g2", {"k": 2}))]
+    + [dataclasses.replace(bx.build_su2k(22), f=None),        # F-less, as lib sessions read it
+       dataclasses.replace(bx.build_su2k(2), notes=("a note", 'with "quotes" and \u00e9'))])
+
+
+@pytest.mark.parametrize("cat", _WRITER_CASES, ids=lambda c: c.name)
+def test_writer_is_json_dumps_with_indent_1(cat):
+    # the F rows come from one row template; the document must read as
+    # json.dumps(doc, indent=1) writes it, with fmt_complex's digits in each row
+    for copy in (cat, bx.category_from_json(bx.category_to_json(cat))):
+        text = bx.category_to_json(copy)
+        doc = json.loads(text)
+        assert json.dumps(doc, indent=1) == text
+        if copy.f is not None:
+            keys, vals = copy.f.flat
+            assert doc["F"] == [[*row, fmt_complex(val)] for row, val in
+                                zip(bx.category.f_labels(keys[:-1]).tolist(), vals[:-1].tolist())]
+
+
+def test_writer_keeps_signed_zeros_and_extreme_values():
+    f = FSymbolTable({(0, 0, 0, 0): ((0, 1), (0, 1), np.array(
+        [[-0.0 - 0j, 1e-310 + 1e308j], [-2.5e-5 + 0.1j, complex(1 / 3, -0.0)]]))})
+    cat = dataclasses.replace(bx.build_su2k(1), f=f)
+    text = bx.category_to_json(cat)
+    assert json.dumps(json.loads(text), indent=1) == text
+    assert [row[6] for row in json.loads(text)["F"]] == [
+        fmt_complex(z) for z in f.blocks[(0, 0, 0, 0)][2].ravel()]
+
+
 def _edited(edit):
     doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
     edit(doc)
@@ -353,24 +386,80 @@ def _set(key, i, val):
     (_set("F", 5, [0, 1, 1, 0, 1, 3, ["1", "0"]]), "F[5]"),
     (_set("F", 5, [0, 1, 1, 0, 1, 0, "1"]), "F[5]"),
     (_set("F", 5, [0, 1, 1, 2, 1, 2, ["nan", "0"]]), "F[5]"),
+    (_set("F", 5, [0, 1, 1, 2, 1, 2, "10"]), "F[5]"),          # a string is not a pair
+    (_set("F", 5, [0, 1, 1, 2, 1, 2, [True, "0"]]), "F[5]"),
+    (_set("d", 1, True), "d[1]"),
     (lambda doc: doc.update(F={}), "'F'"),
     (lambda doc: doc.update(rho=5), "'rho'"),
     (lambda doc: doc.update(channels=[0, 7]), "channels[1]"),
     (lambda doc: doc.update(tp_adjacency={"1": [[0, 2], [2, 3]]}), "tp_adjacency['1'][1]"),
     (lambda doc: doc.update(tp_adjacency={"9": []}), "tp_adjacency['9']"),
     (lambda doc: doc["F"].insert(6, doc["F"][5]), "F[6]"),
+    # the first row at fault, not the first key in sorted order
+    (lambda doc: doc["F"].extend([doc["F"][30], doc["F"][2], doc["F"][2]]), "F[36] = [2, "),
 ]] + [
     # drop the two spin-1 (u = 2) entries of the 2x2 block [F^{1/2 1/2 1/2}_{1/2}]
     (lambda doc: doc.update(F=doc["F"][:18] + doc["F"][20:]), "F block (1, 1, 1, 1)",
      AxiomError),
+    # N_{1/2 1/2}^{1/2} = 0, so no entry of [F^{1/2 1/2 1/2}_{1/2}] has u = 1/2
+    (lambda doc: doc["F"].append([1, 1, 1, 1, 1, 1, ["1", "0"]]), "F[36]", AxiomError),
+    (lambda doc: doc["F"].insert(3, [0, 1, 1, 0, 1, 2, ["0", "0"]]), "F[3]", AxiomError),
 ], ids=["no-labels", "no-name", "no-Delta", "no-nu", "no-dual", "label-not-str",
         "short-Delta", "bad-Delta", "short-nu", "nu-label", "nu-sign", "N-label",
         "N-negative", "short-N", "N-not-list", "short-dual", "dual-label", "bad-d",
         "d-inf", "d-negative", "d-zero", "short-d", "short-F", "F-label", "F-value", "F-nan",
-        "F-not-list", "rho-label", "channels-label", "tp-edge-label", "tp-phi-label", "F-twice", "F-not-square"])
+        "F-string-pair", "F-bool", "d-bool",
+        "F-not-list", "rho-label", "channels-label", "tp-edge-label", "tp-phi-label", "F-twice",
+        "F-twice-late", "F-not-square", "F-outside-fusion", "F-outside-fusion-v"])
 def test_from_json_rejects_malformed(edit, where, error):
     with pytest.raises(error, match=re.escape(where)):
         bx.category_from_json(_edited(edit))
+
+
+def test_f_outside_the_fusion_rules_names_the_first_row_and_vertex():
+    with pytest.raises(AxiomError) as err:
+        bx.category_from_json(_edited(lambda doc: doc["F"].append([1, 1, 1, 1, 1, 1, ["1", "0"]])))
+    assert str(err.value) == ("category JSON F[36] = [1, 1, 1, 1, 1, 1, ['1', '0']]: entry "
+                              "(1, 1, 1, 1, 1, 1) breaks the fusion rules, N[1, 1, 1] = 0")
+
+
+def test_f_rows_read_alike_in_any_order_and_number_form():
+    doc = json.loads(bx.category_to_json(bx.build_su2k(3)))
+    want = bx.category_from_json(json.dumps(doc)).f.flat
+    for row in doc["F"]:                         # numbers instead of strings
+        row[6] = [float(row[6][0]), float(row[6][1])]
+    doc["F"] = doc["F"][::-1]                    # rows in any order
+    got = bx.category_from_json(json.dumps(doc)).f.flat
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def test_imported_blocks_are_read_only_and_padded():
+    doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
+    doc["F"] = [row for row in doc["F"] if row[:6] != [1, 1, 1, 1, 0, 2]]
+    f = bx.category_from_json(json.dumps(doc)).f
+    us, vs, mat = f.blocks[(1, 1, 1, 1)]
+    assert us == (0, 2) and vs == (0, 2) and mat[0, 1] == 0
+    assert not mat.flags.writeable
+    assert f.block_value(1, 1, 1, 1, 0, 2) == 0
+
+
+@pytest.mark.parametrize("drop, missing", [("d", "quantum dimensions"), ("N", "fusion rules")])
+def test_check_f_identities_names_the_missing_datum(drop, missing):
+    doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
+    del doc[drop]
+    cat = bx.category_from_json(json.dumps(doc))
+    with pytest.raises(CapabilityError, match=f"su2_k2 has F-symbols but no {missing}"):
+        bx.check_f_identities(cat)
+
+
+def test_labels_past_the_flat_index_raise_on_every_read():
+    n = 1 << 10
+    doc = {"schema": "baxcat-category-v1", "name": "wide", "labels": [str(a) for a in range(n + 1)],
+           "Delta": [None] * (n + 1), "nu": [], "F": [[0, 0, n, n, 0, n, ["1", "0"]]]}
+    cat = bx.category_from_json(json.dumps(doc))
+    for _ in range(2):
+        with pytest.raises(CapabilityError, match=f"F table labels reach {n}"):
+            bx.category_to_json(cat)
 
 
 @pytest.mark.parametrize("text", ["{", "[]", '{"schema": "other"}'])
@@ -478,6 +567,31 @@ def test_identity_checks_find_the_literal_worst_tuple_of_a_corruption(build, arg
             got, got_where = fast(bad, bad.f)
             assert got_where == where
             assert abs(got - worst) < 1e-12
+
+
+@pytest.mark.parametrize("build, arg", [(bx.build_su2k, 4), (bx.build_minimal_A, 3),
+                                        (bx.build_tambara_yamagami, 5)])
+def test_pentagon_batches_split_inside_one_label_and_match_the_literal_loop(
+        build, arg, monkeypatch):
+    cat = build(arg)
+    rng = np.random.default_rng(5)
+    blocks = dict(cat.f.blocks)
+    key = sorted(blocks)[rng.integers(len(blocks))]
+    us, vs, mat = blocks[key]
+    bad = dataclasses.replace(cat, f=FSymbolTable({**blocks, key: (us, vs, mat * (1.25 - 0.5j))}))
+    for table in (cat, bad):
+        want = _first_worst(literal_pentagon(table))
+        for terms in (3, 40, 1 << 12):
+            monkeypatch.setattr(bx.category, "_PENTAGON_TERMS", terms)
+            assert _pentagon_residual(table, table.f) == want
+
+
+def test_unitarity_counts_a_non_square_block_as_1():
+    blocks = bx.build_su2k(4).f.blocks
+    key = min(k for k, (us, vs, _) in blocks.items() if len(vs) > 1)
+    us, vs, mat = blocks[key]
+    f = FSymbolTable({**blocks, key: (us[:1], vs, mat[:1])})
+    assert _unitarity_residual(f) == (1.0, key)
 
 
 def test_f_lookups_read_absent_entries_as_missing_or_zero():
