@@ -8,10 +8,13 @@ admissible Boltzmann-weight ratio is
 a Moebius function of mu built purely from twist data.  A spanning tree of
 the tensor-product graph fixes every amplitude relative to the reference
 channel; each extra edge closes a cycle, decided by float sampling of the
-closing identity against `SOLVER_TOL` on one shared grid of points, each
-amplitude evaluated at most once per point per solve.  That decision fails
-on long cycles: for ty with rho = X it calls consistent pairs INCONSISTENT
-at every even M >= 18 (ROADMAP item 1, exact amplitudes).
+closing identity against `SOLVER_TOL` on one shared grid of points.  That
+decision fails on long cycles: for ty with rho = X it calls consistent pairs
+INCONSISTENT at every even M >= 18 (ROADMAP item 1, exact amplitudes).
+
+A solver memo keyed by the exact bits of the twist-edge ratios forms each
+edge ratio, tree product and cycle residual once per classify call, and
+evaluates each amplitude at most once per grid point per classify call.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import cmath
 import functools
 import itertools
 import math
+import struct
 from dataclasses import dataclass
 
 from .category import CategoryData, fusion_product, twist_edge_ratio
@@ -158,11 +162,7 @@ def build_tp_graph(cat: CategoryData, rho, phi) -> TensorProductGraph:
 
 def edge_ratio(cat: CategoryData, rho, a, b, mu) -> complex:
     """A_b/A_a on an edge: (x + mu)/(1 + mu x) with x the twist-edge ratio."""
-    return _edge_ratio_func(cat, rho, a, b).evaluate(mu)
-
-
-def _edge_ratio_func(cat, rho, a, b) -> RationalFunction:
-    return RationalFunction.linear_ratio(twist_edge_ratio(cat, rho, a, b))
+    return RationalFunction.linear_ratio(twist_edge_ratio(cat, rho, a, b)).evaluate(mu)
 
 
 @functools.cache
@@ -173,30 +173,95 @@ def _grid_point(j: int) -> complex:
     return radii[j % len(radii)] * cmath.exp(2j * math.pi * ((j * golden) % 1.0))
 
 
-def _grid_values(fn):
-    """j -> fn at grid point j, or None within 1e-8 of a pole; memoised."""
-    memo = {}
+def _coeff_bits(fn: RationalFunction) -> bytes:
+    """The exact bits of fn's coefficients: equal bits, equal values anywhere."""
+    parts = [t for z in fn.num + fn.den for t in (z.real, z.imag)]
+    return struct.pack(f"<i{len(parts)}d", len(fn.num), *parts)
 
-    def at(j):
-        if j not in memo:
-            try:
-                memo[j] = fn.evaluate(_grid_point(j), pole_tol=1e-8)
-            except PoleError:
-                memo[j] = None
-        return memo[j]
-    return at
+
+_UNSET = object()
+
+
+class _SolverMemo:
+    """Edge ratios, tree products and their grid values for one category.
+
+    An edge is keyed by the bits of its twist-edge ratio x (so 0.0 and -0.0
+    never share an entry) and a tree product by the keys along its path from
+    the component root.  A product is its tree parent's product times the
+    last edge ratio, the same multiplications in the same order as without a
+    memo, so every coefficient keeps its bits.  Grid values are kept per
+    coefficient bits, so each (function, grid point) is evaluated once, and
+    so is each cycle residual of the same three functions.
+    `classify_pairs` shares one memo between its solves and drops it when it
+    returns: a process-wide cache would hold su(2)_22's entries for the rest of
+    a session.
+    """
+
+    def __init__(self, cat: CategoryData):
+        self.cat = cat
+        self.keys = {}            # (rho, a, b) -> bits of twist_edge_ratio
+        self.ratios = {}          # key -> (linear_ratio(x), grid values)
+        self.paths = {}           # tuple of keys -> (product, grid values)
+        self.grid = {}            # coefficient bits -> values by j: None at a pole, _UNSET unread
+        self.residuals = {}       # (ids of three grid-value lists, need) -> _cycle_residual
+
+    def _entry(self, fn):
+        return fn, self.grid.setdefault(_coeff_bits(fn), [])
+
+    def edge(self, rho, a, b) -> bytes:
+        key = self.keys.get((rho, a, b))
+        if key is None:
+            x = twist_edge_ratio(self.cat, rho, a, b)
+            key = self.keys[rho, a, b] = struct.pack("<dd", x.real, x.imag)
+            if key not in self.ratios:
+                self.ratios[key] = self._entry(RationalFunction.linear_ratio(x))
+        return key
+
+    def path(self, keys: tuple):
+        """(product of the edge ratios along `keys`, its grid values)."""
+        entry = self.paths.get(keys)
+        if entry is None:
+            fn = (self.path(keys[:-1])[0] * self.ratios[keys[-1]][0] if keys
+                  else RationalFunction.one())
+            entry = self.paths[keys] = self._entry(fn)
+        return entry
+
+    def residual(self, amp_a, amp_b, ratio, need: int):
+        """`_cycle_residual`, once per (coefficient bits of the three, need);
+        a grid-value list stands for its bits and lives as long as the memo."""
+        key = (id(amp_a[1]), id(amp_b[1]), id(ratio[1]), need)
+        out = self.residuals.get(key)
+        if out is None:
+            out = self.residuals[key] = _cycle_residual(amp_a, amp_b, ratio, need)
+        return out
+
+
+def _grid_value(entry, j: int):
+    """The function of `entry` at grid point j, or None within 1e-8 of a pole."""
+    fn, vals = entry
+    if j >= len(vals):
+        vals.extend([_UNSET] * (j + 1 - len(vals)))
+    val = vals[j]
+    if val is _UNSET:
+        try:
+            val = fn.evaluate(_grid_point(j), pole_tol=1e-8)
+        except PoleError:
+            val = None
+        vals[j] = val
+    return val
 
 
 def _cycle_residual(amp_a, amp_b, ratio, need: int):
-    """max |A_b - A_a r| over the first `need` grid points where no value map
-    is at a pole, and the number taken; at most 200 * need points are tried."""
+    """max |A_b - A_a r| over the first `need` grid points where none of the
+    three is at a pole, and the number taken; at most 200 * need points are
+    tried.  Each argument is a (function, grid values) memo entry."""
     res, taken = 0.0, 0
     for j in range(200 * need):
         if taken == need:
             break
-        va = amp_a(j)
-        vb = None if va is None else amp_b(j)
-        vr = None if vb is None else ratio(j)
+        va = _grid_value(amp_a, j)
+        vb = None if va is None else _grid_value(amp_b, j)
+        vr = None if vb is None else _grid_value(ratio, j)
         if vr is None:
             continue
         res = max(res, abs(vb - va * vr))
@@ -204,15 +269,19 @@ def _cycle_residual(amp_a, amp_b, ratio, need: int):
     return res, taken
 
 
-def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSolution:
+def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
+                  _memo: _SolverMemo | None = None) -> AmplitudeSolution:
     """Propagate amplitude ratios over a spanning tree and classify the rest.
 
     The reference channel (0, else the least channel) seeds its component, so
     its amplitude is exactly 1.  Every non-tree edge closes a cycle; the
     closing constraint is a rational identity of degree bounded by the edge
     count, sampled at 2E+1 off-pole points and decided against `SOLVER_TOL`.
-    Float sampling is known to misjudge long cycles (ty rho = X at even
-    M >= 18, ROADMAP item 1).
+    Edge ratios, tree products, grid values and cycle residuals come from a
+    `_SolverMemo` of `cat` (a fresh one unless `classify_pairs` passes its
+    own), so each amplitude is evaluated at most once per point per classify
+    call.  Float sampling is known to misjudge long cycles (ty rho = X at
+    even M >= 18, ROADMAP item 1).
     """
     graph = build_tp_graph(cat, rho, phi)
     verts = graph.vertices
@@ -221,21 +290,25 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSo
 
     if tree not in ("bfs", "dfs"):
         raise DomainError(f"unknown spanning-tree strategy {tree!r}")
-    funcs = {}
+    memo = _SolverMemo(cat) if _memo is None else _memo
     parent = {}
     components = []
+    keys = {}                         # channel -> edge keys along its tree path
+    amps = {}                         # channel -> (amplitude, grid values)
     for start in (reference, *verts):
-        if start in funcs:
+        if start in keys:
             continue
         comp = [start]
-        funcs[start] = RationalFunction.one()
+        keys[start] = ()
+        amps[start] = memo.path(())
         pending = [start]
         while pending:
             v = pending.pop(0) if tree == "bfs" else pending.pop()
             for w in adj[v]:
-                if w in funcs:
+                if w in keys:
                     continue
-                funcs[w] = funcs[v] * _edge_ratio_func(cat, graph.rho, v, w)
+                keys[w] = keys[v] + (memo.edge(graph.rho, v, w),)
+                amps[w] = memo.path(keys[w])
                 parent[w] = v
                 comp.append(w)
                 pending.append(w)
@@ -257,11 +330,10 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSo
     tree_edges = {frozenset((v, parent[v])) for v in parent}
     closing = [e for e in graph.edges if frozenset(e) not in tree_edges]
     nsamp = 2 * max(1, len(graph.edges)) + 1
-    amps = {v: _grid_values(funcs[v]) for v in verts}
     cycles = []
     for a, b in closing:
-        res, taken = _cycle_residual(amps[a], amps[b],
-                                     _grid_values(_edge_ratio_func(cat, graph.rho, a, b)), nsamp)
+        res, taken = memo.residual(amps[a], amps[b],
+                                   memo.ratios[memo.edge(graph.rho, a, b)], nsamp)
         cyc = tree_path(a, b) if parent else [a, b]
         cycles.append(CycleCheck(tuple(sorted(set(cyc))), (a, b), res, taken))
 
@@ -273,6 +345,7 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSo
         verdict = CYCLE_CONSISTENT
     else:
         verdict = TREE_UNIQUE
+    funcs = {v: fn for v, (fn, _) in amps.items()}
     return AmplitudeSolution(cat, graph, reference, verts, funcs, verdict,
                              components, tuple(cycles))
 
@@ -303,13 +376,14 @@ def classify_pairs(cat: CategoryData):
         rhos = range(cat.n_objects)
     else:
         rhos = [cat.rho_declared]
+    memo = _SolverMemo(cat)
     for rho in rhos:
         if cat.rules is not None:
             phis = [p for p in range(1, cat.n_objects) if cat.rules.admits(p, rho, rho)]
         else:
             phis = sorted(cat.tp_adjacency)
         for phi in phis:
-            sol = solve_central(cat, rho, phi)
+            sol = solve_central(cat, rho, phi, _memo=memo)
             g = sol.graph
             ncyc = len(g.edges) - (len(g.vertices) - len(sol.components))
             rows.append(ClassifyRow(rho, phi, sol.verdict,

@@ -20,7 +20,7 @@ from .baxterize import (INCONSISTENT, AmplitudeSolution, amplitude_at,
 from .category import CategoryData, fusion_product, twist_edge_ratio
 from .errors import CapabilityError, DomainError, PoleError
 from .ratfunc import RationalFunction
-from .report import VerificationReport
+from .report import VerificationReport, fmt_complex
 from .treerep import (OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
                       path_counts, projector_op, r_op, transfer_matrix)
 
@@ -73,22 +73,25 @@ def _norm(m, weights):
 
 
 def _worst_over_pairs(residual, samples, seed, poles):
-    """The largest residual(mu, mu') over `samples` seeded annulus pairs, and
-    how many pairs were redrawn because they hit a pole; past 50 * samples
-    redraws the PoleError propagates."""
+    """The largest residual(mu, mu') over `samples` seeded annulus pairs, the
+    first (mu, mu') that gave it, and how many pairs were redrawn because they
+    hit a pole; past 50 * samples redraws the PoleError propagates."""
     rng = np.random.default_rng(seed)
-    worst, skipped, done = 0.0, 0, 0
+    worst, at, skipped, done = 0.0, None, 0, 0
     while done < samples:
         mu1, mu2 = mu_annulus(rng, 2, avoid=poles)
         try:
-            worst = max(worst, residual(mu1, mu2))
+            res = residual(mu1, mu2)
         except PoleError:
             skipped += 1
             if skipped > 50 * samples:
                 raise
             continue
+        if at is None or res > worst:
+            at = (mu1, mu2)
+        worst = max(worst, res)
         done += 1
-    return worst, skipped
+    return worst, at, skipped
 
 
 def perturb_solution(solution: AmplitudeSolution, chi, eps) -> AmplitudeSolution:
@@ -182,13 +185,14 @@ def verify_ybe(cat: CategoryData, rho, solution: AmplitudeSolution, L=3,
         rhs = R[mu2, 2] @ R[mu1 * mu2, 1] @ R[mu1, 2]
         return _norm(lhs - rhs, first) / max(_norm(lhs, first), 1e-300)
 
-    worst, skipped = _worst_over_pairs(residual, samples, seed, solution.poles())
+    worst, at, skipped = _worst_over_pairs(residual, samples, seed, solution.poles())
     rep = VerificationReport(
         "ybe", params={"category": cat.name, "rho": cat.display(rho),
                        "phi": cat.display(solution.phi), "L": L, "dim": dim,
                        "status": "conjecture check"},
         seed=seed)
-    rep.add("ybe_residual", worst, tol, samples=samples, skipped_pole_collisions=skipped)
+    rep.add("ybe_residual", worst, tol, samples=samples, skipped_pole_collisions=skipped,
+            worst_at=[fmt_complex(mu) for mu in at])
     return rep
 
 
@@ -205,14 +209,15 @@ def verify_commuting_transfer(cat: CategoryData, rho, solution: AmplitudeSolutio
         t2 = transfer_matrix(solution, mu2, basis).matrix
         return _fnorm(t1 @ t2 - t2 @ t1) / max(_fnorm(t1) * _fnorm(t2), 1e-300)
 
-    worst, skipped = _worst_over_pairs(residual, samples, seed, solution.poles())
+    worst, at, skipped = _worst_over_pairs(residual, samples, seed, solution.poles())
     rep = VerificationReport(
         "commuting_transfer",
         params={"category": cat.name, "rho": cat.display(rho),
                 "phi": cat.display(solution.phi), "L": L, "dim": basis.size,
                 "status": "conjecture check"},
         seed=seed)
-    rep.add("commutator", worst, tol, samples=samples, skipped_pole_collisions=skipped)
+    rep.add("commutator", worst, tol, samples=samples, skipped_pole_collisions=skipped,
+            worst_at=[fmt_complex(mu) for mu in at])
     return rep
 
 

@@ -485,11 +485,171 @@ def test_products_match_numpy_convolve(monkeypatch):
             + [bx.build_tambara_yamagami(M) for M in range(2, 25)])
     for cat in cats:
         bx.classify_pairs(cat)
-    assert len(products) > 5000
+    # each distinct product is formed once per classify call (2,314 convolutions)
+    assert len(products) > 2000
     for a, b, out in products:
         expect = np.convolve(a, b)
         assert len(out) == len(expect)
         assert np.max(np.abs(np.array(out) - expect)) <= 1e-15 * np.max(np.abs(expect)), (a, b)
+
+
+def _memo_free_solve(cat, rho, phi):
+    """Reference: the solver without its memo.  Each tree product is formed
+    afresh as funcs[v] * linear_ratio(x), each solve evaluates its amplitudes
+    through its own grid memo and each closing edge through a fresh one."""
+    baxterize = bx.baxterize
+    graph = bx.build_tp_graph(cat, rho, phi)
+    verts = graph.vertices
+    reference = 0 if 0 in verts else min(verts)
+
+    def ratio(a, b):
+        return bx.RationalFunction.linear_ratio(bx.twist_edge_ratio(cat, graph.rho, a, b))
+
+    def grid_values(fn):
+        memo = {}
+
+        def at(j):
+            if j not in memo:
+                try:
+                    memo[j] = fn.evaluate(baxterize._grid_point(j), pole_tol=1e-8)
+                except PoleError:
+                    memo[j] = None
+            return memo[j]
+        return at
+
+    funcs, parent, components = {}, {}, []
+    for start in (reference, *verts):
+        if start in funcs:
+            continue
+        comp, pending = [start], [start]
+        funcs[start] = bx.RationalFunction.one()
+        while pending:
+            v = pending.pop(0)
+            for w in graph.neighbours(v):
+                if w not in funcs:
+                    funcs[w] = funcs[v] * ratio(v, w)
+                    parent[w] = v
+                    comp.append(w)
+                    pending.append(w)
+        components.append(tuple(sorted(comp)))
+
+    def root_path(v):
+        path = [v]
+        while v in parent:
+            v = parent[v]
+            path.append(v)
+        return path
+
+    tree_edges = {frozenset((v, parent[v])) for v in parent}
+    need = 2 * max(1, len(graph.edges)) + 1
+    amps = {v: grid_values(funcs[v]) for v in verts}
+    cycles = []
+    for a, b in graph.edges:
+        if frozenset((a, b)) in tree_edges:
+            continue
+        res, taken = 0.0, 0
+        vr_at = grid_values(ratio(a, b))
+        for j in range(200 * need):
+            if taken == need:
+                break
+            va = amps[a](j)
+            vb = None if va is None else amps[b](j)
+            vr = None if vb is None else vr_at(j)
+            if vr is not None:
+                res = max(res, abs(vb - va * vr))
+                taken += 1
+        pa, pb = root_path(a), root_path(b)
+        meet = next(v for v in pa if v in pb)
+        cyc = pa[: pa.index(meet) + 1] + pb[: pb.index(meet)] if parent else [a, b]
+        cycles.append(baxterize.CycleCheck(tuple(sorted(set(cyc))), (a, b), res, taken))
+    if any(c.residual >= baxterize.SOLVER_TOL for c in cycles):
+        verdict = INCONSISTENT
+    elif len(components) > 1:
+        verdict = UNDERDETERMINED
+    else:
+        verdict = CYCLE_CONSISTENT if cycles else TREE_UNIQUE
+    return baxterize.AmplitudeSolution(cat, graph, reference, verts, funcs, verdict,
+                                       tuple(sorted(components)), tuple(cycles))
+
+
+def _recording_solves(monkeypatch):
+    """Every solution `classify_pairs` computes, in order."""
+    sols = []
+    real = bx.baxterize.solve_central
+
+    def recording(*args, **kwargs):
+        sols.append(real(*args, **kwargs))
+        return sols[-1]
+    monkeypatch.setattr(bx.baxterize, "solve_central", recording)
+    return sols
+
+
+def test_memoised_classify_matches_the_memo_free_solver_bit_for_bit(monkeypatch):
+    cats = ([bx.build_su2k(k) for k in (*range(1, 11), 22, 32)]
+            + [bx.build_minimal_A(k) for k in range(1, 9)]
+            + [bx.build_tambara_yamagami(M) for M in (5, *range(16, 33))]
+            + [bx.build_family("so", n=5, k=2), bx.build_family("sp", m=3, k=1),
+               bx.build_family("g2", k=2)])
+    sols = _recording_solves(monkeypatch)
+    inconsistent = {}
+    cycles = 0
+    for cat in cats:
+        sols.clear()
+        rows = bx.classify_pairs(cat)
+        assert len(sols) == len(rows)
+        for row, sol in zip(rows, sols):
+            expect = _memo_free_solve(cat, row.rho, row.phi)
+            assert sol.to_dict() == expect.to_dict(), (cat.name, row)
+            for ch in sol.channels:
+                assert (tuple(map(_bits, sol.funcs[ch].num + sol.funcs[ch].den))
+                        == tuple(map(_bits, expect.funcs[ch].num + expect.funcs[ch].den)))
+            assert ([(c.closing_edge, struct.pack("<d", c.residual), c.samples)
+                     for c in sol.cycles]
+                    == [(c.closing_edge, struct.pack("<d", c.residual), c.samples)
+                        for c in expect.cycles]), (cat.name, row)
+            cycles += len(sol.cycles)
+            if sol.verdict == INCONSISTENT:
+                inconsistent.setdefault(cat.name, []).append((row.rho, row.phi))
+    assert cycles > 500
+    # the known wrong float verdicts (ROADMAP item 1) do not move
+    assert inconsistent["ty_18"] == [(18, p) for p in (1, 3, 6, 12, 15, 17)]
+    assert inconsistent["ty_24"] == [(24, p) for p in (1, 5, 7, 11, 13, 17, 19, 23)]
+
+
+def test_classify_evaluates_each_function_once_per_grid_point(monkeypatch):
+    cat = bx.build_su2k(22)
+    rho, phi = 2, 2
+    alone = json.dumps(bx.solve_central(cat, rho, phi).to_dict())
+    calls = []
+    real = bx.RationalFunction.evaluate
+
+    def counting(fn, mu, pole_tol=1e-12):
+        calls.append((tuple(map(_bits, fn.num)), tuple(map(_bits, fn.den)), _bits(mu)))
+        return real(fn, mu, pole_tol)
+    monkeypatch.setattr(bx.RationalFunction, "evaluate", counting)
+    rows = bx.classify_pairs(cat)
+    assert any(r.n_cycles for r in rows)
+    assert len(calls) == len(set(calls)) > 1000
+    monkeypatch.undo()
+    # no state outlives a call: a solve after a classify call is the solve alone
+    assert json.dumps(bx.solve_central(cat, rho, phi).to_dict()) == alone
+
+
+def test_classify_memo_keeps_the_edge_ratios_of_each_rho_apart(monkeypatch):
+    # su2_4 with nu_2^{3/2 3/2} flipped: the 0-2 edge of rho = 3/2 then has
+    # another twist ratio than the same edge of rho = 1/2
+    doc = json.loads(bx.category_to_json(bx.build_su2k(4)))
+    del doc["F"]
+    for entry in doc["nu"]:
+        if entry[:3] == [2, 3, 3]:
+            entry[3] = -entry[3]
+    cat = bx.category_from_json(json.dumps(doc))
+    sols = _recording_solves(monkeypatch)
+    rows = bx.classify_pairs(cat)
+    monkeypatch.undo()
+    assert {(r.rho, r.phi) for r in rows} >= {(1, 2), (3, 2)}
+    for row, sol in zip(rows, sols):
+        assert sol.to_dict() == bx.solve_central(cat, row.rho, row.phi).to_dict(), row
 
 
 def _so_doc(edit):

@@ -11,6 +11,7 @@ import pytest
 import baxcat as bx
 import baxcat.verify as verify_mod
 from baxcat.errors import CapabilityError, DomainError
+from baxcat.report import fmt_complex
 from baxcat.verify import (cpl_enumerate, cpl_transfer, mu_annulus,
                            perturb_solution, random_solution)
 
@@ -147,6 +148,28 @@ def test_commuting_transfer_tl_family_insensitive_to_scaling():
     sol = perturb_solution(solved(cat, 1, 2), 2, 5e-2)
     rep = bx.verify_commuting_transfer(cat, 1, sol, L=4, samples=4, seed=9)
     assert rep.passed
+
+
+def test_ybe_and_transfer_state_where_the_worst_residual_occurred(monkeypatch):
+    seen = []
+    real = verify_mod._worst_over_pairs
+
+    def recording(residual, *args):
+        def traced(mu1, mu2):
+            seen.append((residual(mu1, mu2), mu1, mu2))
+            return seen[-1][0]
+        return real(traced, *args)
+    monkeypatch.setattr(verify_mod, "_worst_over_pairs", recording)
+    cat = bx.build_su2k(4)
+    sol = perturb_solution(solved(cat, 2, 2), 4, 5e-2)
+    for run in (lambda: bx.verify_ybe(cat, 2, sol, samples=6, seed=13),
+                lambda: bx.verify_commuting_transfer(cat, 2, sol, L=4, samples=4, seed=9)):
+        seen.clear()
+        (check,) = run().checks
+        res, mu1, mu2 = max(seen, key=lambda t: t[0])
+        assert len(seen) == check.samples and res == check.residual > 1e-3
+        assert len({r for r, _, _ in seen}) == len(seen)
+        assert check.to_dict()["details"]["worst_at"] == [fmt_complex(mu1), fmt_complex(mu2)]
 
 
 def test_transfer_cap():
