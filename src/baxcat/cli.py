@@ -103,12 +103,12 @@ def _cmd_baxterize(args):
         evals = []
         for mu in args.mu:
             row = {"mu": fmt_complex(mu), "amplitudes": {}, "edge_ratios": {}}
-            for ch in sol.channels:
-                val = amplitude_at(sol, ch, mu)
+            vals = {ch: amplitude_at(sol, ch, mu) for ch in sol.channels}
+            for ch, val in vals.items():
                 row["amplitudes"][cat.display(ch)] = fmt_complex(val)
                 lines.append(f"mu={mu}: A[{cat.display(ch)}] = {val:.12g}")
             for a, b in sol.graph.edges:
-                va, vb = amplitude_at(sol, a, mu), amplitude_at(sol, b, mu)
+                va, vb = vals[a], vals[b]
                 if va == 0 or vb == 0:
                     raise PoleError(f"edge ({cat.display(a)}, {cat.display(b)}) at mu={mu}: "
                                     f"A[{cat.display(a if va == 0 else b)}] = 0, so one of "

@@ -22,7 +22,6 @@ from .category import CategoryData, fusion_product, twist_factor
 from .errors import CapabilityError, DomainError
 from .report import fmt_complex
 
-OPEN = "open"
 OPEN_ALL = "open_all"
 PERIODIC = "periodic"
 # largest basis a dense operator may act on: 256 MB per n x n complex matrix
@@ -37,33 +36,26 @@ class FusionTreeBasis:
     F-symbols when the first operator on the basis needs it.
     """
 
-    def __init__(self, cat: CategoryData, rho, L, bc, boundary=None):
+    def __init__(self, cat: CategoryData, rho, L, bc):
         if cat.rules is None:
             raise CapabilityError(f"{cat.name} carries no fusion tensor")
         rho = cat.check_label(rho)
         if L < 0:
             raise DomainError("strand count must be >= 0")
-        if bc not in (OPEN, OPEN_ALL, PERIODIC):
+        if bc not in (OPEN_ALL, PERIODIC):
             raise DomainError(f"unknown boundary condition {bc!r}")
-        if bc == OPEN:
-            if boundary is None:
-                raise DomainError("open boundary needs fixed (h_0, h_L)")
-            boundary = (cat.check_label(boundary[0]), cat.check_label(boundary[1]))
         self.cat = cat
         self.rho = rho
         self.L = L
         self.bc = bc
-        self.boundary = boundary
         # grow the sequences one step at a time; np.nonzero keeps the rows
         # in lexicographic order
         step = cat.rules.N[rho]
-        H = np.arange(cat.n_objects)[:, None] if bc != OPEN else np.array([[boundary[0]]])
+        H = np.arange(cat.n_objects)[:, None]
         for _ in range(L):
             rows, nxt = np.nonzero(step[H[:, -1]])
             H = np.column_stack((H[rows], nxt))
-        if bc == OPEN:
-            H = H[H[:, -1] == boundary[1]]
-        elif bc == PERIODIC:
+        if bc == PERIODIC:
             H = H[H[:, -1] == H[:, 0]]
         H.setflags(write=False)
         self.heights = H
@@ -110,21 +102,19 @@ class LinearOp:
         return {"name": self.name, "dim": self.dim, "entries_row_major": flat}
 
 
-def enumerate_trees(cat: CategoryData, rho, L, bc, boundary=None) -> FusionTreeBasis:
+def enumerate_trees(cat: CategoryData, rho, L, bc) -> FusionTreeBasis:
     """Complete, duplicate-free, lexicographically ordered height basis."""
-    return FusionTreeBasis(cat, rho, L, bc, boundary)
+    return FusionTreeBasis(cat, rho, L, bc)
 
 
 def path_counts(cat: CategoryData, rho, L):
-    """Exact int vectors into[m][h] and out[m][h], m = 0..L: the height paths
-    of m steps that end and that start at h (the column and row sums of the
-    m-th power of rho's fusion adjacency)."""
+    """Exact int vectors into[m][h], m = 0..L: the height paths of m steps that
+    end at h (the column sums of the m-th power of rho's fusion adjacency)."""
     step = (cat.rules.N[cat.check_label(rho)] != 0).astype(object)
-    into, out = [np.ones(cat.n_objects, dtype=object)], [np.ones(cat.n_objects, dtype=object)]
+    into = [np.ones(cat.n_objects, dtype=object)]
     for _ in range(L):
         into.append(into[-1] @ step)
-        out.append(step @ out[-1])
-    return into, out
+    return into
 
 
 def face_weights(basis: FusionTreeBasis, rho, coeffs) -> np.ndarray:

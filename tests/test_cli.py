@@ -200,6 +200,25 @@ def test_local_checks_run_past_the_dense_budget(args, dim):
     assert doc["params"]["dim"] == dim and doc["params"]["L"] == int(args[-1])
 
 
+def a4_path_count(L):
+    """Height paths of L steps on the A_4 Dynkin diagram: su(2)_3 with rho = 1/2."""
+    counts = [1, 1, 1, 1]
+    for _ in range(L):
+        counts = [sum(counts[i] for i in (h - 1, h + 1) if 0 <= i < 4) for h in range(4)]
+    return sum(counts)
+
+
+@pytest.mark.parametrize("check", ["projectors", "braid", "ybe"])
+def test_local_checks_pass_at_L_100(check):
+    # each local configuration is counted once, so rounding noise does not grow with L
+    args = SU2_3 if check != "projectors" else SU2_3[:-2]
+    rc, out, _ = run_cli(["--format", "json", "verify", check, *args, "--L", "100"])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["verdict"] == "pass"
+    assert doc["params"]["dim"] == a4_path_count(100) > 10 ** 20
+
+
 def _no_f(*args):
     raise AssertionError("an F table was built")
 

@@ -9,7 +9,7 @@ import pytest
 import baxcat as bx
 from baxcat import treerep
 from baxcat.errors import CapabilityError, DomainError, PoleError
-from baxcat.treerep import (OPEN, OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
+from baxcat.treerep import (OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
                             face_weights, path_counts, projector_op, r_op,
                             transfer_matrix)
 
@@ -23,19 +23,17 @@ def state_index(basis):
     return {s: i for i, s in enumerate(states(basis))}
 
 
-def literal_enumeration(cat, rho, L, bc, boundary=None):
+def literal_enumeration(cat, rho, L, bc):
     """Depth-first search over admissible steps, then a sort: the tuple
     enumeration the height array replaced."""
     n = cat.n_objects
     out = []
-    for h0 in ([boundary[0]] if bc == OPEN else range(n)):
+    for h0 in range(n):
         stack = [(h0,)]
         while stack:
             seq = stack.pop()
             if len(seq) == L + 1:
                 if bc == PERIODIC and seq[-1] != seq[0]:
-                    continue
-                if bc == OPEN and seq[-1] != boundary[1]:
                     continue
                 out.append(seq)
                 continue
@@ -72,12 +70,6 @@ def test_enumerate_open_all_ty():
     assert basis.size == 12
 
 
-def test_enumerate_open_l0():
-    cat = bx.build_su2k(2)
-    assert enumerate_trees(cat, 1, 0, OPEN, boundary=(1, 1)).size == 1
-    assert enumerate_trees(cat, 1, 0, OPEN, boundary=(1, 0)).size == 0
-
-
 def test_enumerate_empty_periodic():
     ty = bx.build_tambara_yamagami(4)
     # heights alternate group/X, so odd periodic chains are empty
@@ -97,19 +89,15 @@ def test_enumerate_lexicographic_and_deterministic():
     (bx.build_su2k(3), 1), (bx.build_su2k(4), 2), (bx.build_minimal_A(5), 1),
     (bx.build_tambara_yamagami(3), 3)], ids=["su2_3", "su2_4-spin1", "minimal_5", "ty_3-X"])
 def test_enumeration_matches_the_literal_search(cat, rho):
-    n = cat.n_objects
     empty = set()
     for L in range(7):
-        cases = [(OPEN_ALL, None), (PERIODIC, None)]
-        cases += [(OPEN, (a, b)) for a in range(n) for b in range(n)]
-        for bc, boundary in cases:
-            basis = enumerate_trees(cat, rho, L, bc, boundary)
-            want = literal_enumeration(cat, rho, L, bc, boundary)
+        for bc in (OPEN_ALL, PERIODIC):
+            basis = enumerate_trees(cat, rho, L, bc)
+            want = literal_enumeration(cat, rho, L, bc)
             assert basis.heights.shape == (len(want), L + 1)
             assert states(basis) == want                    # row order included
             if not want:
                 empty.add((bc, L % 2))
-    assert (OPEN, 0) in empty                   # an unreachable boundary, L = 0 included
     if not np.trace(adjacency_matrix(cat, rho)):
         assert (PERIODIC, 1) in empty           # a bipartite rho: odd periodic chains
 
@@ -119,14 +107,13 @@ def test_enumeration_matches_the_literal_search(cat, rho):
     (bx.build_tambara_yamagami(3), 3)], ids=["su2_3", "su2_4-spin1", "minimal_5", "ty_3-X"])
 def test_path_counts_count_the_open_basis(cat, rho):
     n = cat.n_objects
-    into, out = path_counts(cat, rho, 7)
-    assert len(into) == len(out) == 8
+    into = path_counts(cat, rho, 7)
+    assert len(into) == 8
     for L in range(8):
         H = enumerate_trees(cat, rho, L, OPEN_ALL).heights
         assert into[L].tolist() == np.bincount(H[:, -1], minlength=n).tolist()
-        assert out[L].tolist() == np.bincount(H[:, 0], minlength=n).tolist()
     # exact ints past the float range
-    into, _ = path_counts(cat, rho, 2000)
+    into = path_counts(cat, rho, 2000)
     assert all(type(x) is int for x in into[-1]) and sum(into[-1]) > 10 ** 310
 
 

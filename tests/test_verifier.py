@@ -243,27 +243,37 @@ def test_braid_relations_report():
 # patch checks against the dense L-strand products they replace
 
 
+def local_fnorm(m, heights, lo, hi):
+    """Frobenius norm over one row of the L-strand matrix m per distinct
+    heights h_lo..h_hi: each local configuration of the identity counted once."""
+    rows = np.unique(heights[:, lo:hi + 1], axis=0, return_index=True)[1]
+    return float(np.linalg.norm(m[rows]))
+
+
 def dense_projector_residuals(cat, rho, L):
     """The projector-algebra residuals from dense operators on the L-strand
-    open basis: the max over sites of the Frobenius norm."""
+    open basis: the max over sites of the local Frobenius norm."""
     basis = bx.enumerate_trees(cat, rho, L, "open_all")
+    H = basis.heights
     sites = range(1, L)
     eye = np.eye(basis.size)
-    fnorm = np.linalg.norm
     chans = bx.fusion_product(cat, rho, rho)
     P = {(c, j): bx.projector_op(cat, rho, c, j, basis).matrix for c in chans for j in sites}
+
+    def site(m, j, width=1):
+        return local_fnorm(m, H, j - 1, j + width)
     out = {
-        "completeness": max(fnorm(sum(P[c, j] for c in chans) - eye) for j in sites),
-        "orthogonality": max(fnorm(P[c1, j] @ P[c2, j] - (P[c1, j] if c1 == c2 else 0.0))
+        "completeness": max(site(sum(P[c, j] for c in chans) - eye, j) for j in sites),
+        "orthogonality": max(site(P[c1, j] @ P[c2, j] - (P[c1, j] if c1 == c2 else 0.0), j)
                              for j in sites for c1 in chans for c2 in chans),
-        "hermiticity": max(fnorm(p - p.conj().T) for p in P.values()),
+        "hermiticity": max(site(P[c, j] - P[c, j].conj().T, j) for c in chans for j in sites),
     }
     if len(chans) == 2 and chans[0] == 0:
         d = cat.dims[rho]
         e = {j: d * P[0, j] for j in sites}
-        out["tl_quadratic"] = max(fnorm(e[j] @ e[j] - d * e[j]) for j in sites)
-        out["tl_cubic"] = max(max(fnorm(e[j] @ e[j + 1] @ e[j] - e[j]),
-                                  fnorm(e[j + 1] @ e[j] @ e[j + 1] - e[j + 1]))
+        out["tl_quadratic"] = max(site(e[j] @ e[j] - d * e[j], j) for j in sites)
+        out["tl_cubic"] = max(max(site(e[j] @ e[j + 1] @ e[j] - e[j], j, 2),
+                                  site(e[j + 1] @ e[j] @ e[j + 1] - e[j + 1], j, 2))
                               for j in sites[:-1])
     return out
 
@@ -271,19 +281,19 @@ def dense_projector_residuals(cat, rho, L):
 def dense_braid_residuals(cat, rho, L, sol, seed, samples=2):
     """The braid-relation residuals (max over sites) and the YBE residual at
     j = 1 over the verifier's seeded mu pairs, from dense operators on the
-    L-strand open basis."""
+    L-strand open basis, each a local Frobenius norm."""
     basis = bx.enumerate_trees(cat, rho, L, "open_all")
+    H = basis.heights
     sites = range(1, L)
     eye = np.eye(basis.size)
-    fnorm = np.linalg.norm
     B = {j: bx.braid_op(cat, rho, j, "over", basis).matrix for j in sites}
     Bb = {j: bx.braid_op(cat, rho, j, "under", basis).matrix for j in sites}
     out = {
         "dim": basis.size,
-        "reidemeister2": max(fnorm(B[j] @ Bb[j] - eye) for j in sites),
-        "reidemeister3": max(fnorm(B[j] @ B[j + 1] @ B[j] - B[j + 1] @ B[j] @ B[j + 1])
-                             for j in sites[:-1]),
-        "distant_commutativity": max((fnorm(B[i] @ B[j] - B[j] @ B[i])
+        "reidemeister2": max(local_fnorm(B[j] @ Bb[j] - eye, H, j - 1, j + 1) for j in sites),
+        "reidemeister3": max(local_fnorm(B[j] @ B[j + 1] @ B[j] - B[j + 1] @ B[j] @ B[j + 1],
+                                         H, j - 1, j + 2) for j in sites[:-1]),
+        "distant_commutativity": max((local_fnorm(B[i] @ B[j] - B[j] @ B[i], H, i - 1, j + 1)
                                       for i in sites for j in sites if j - i >= 2),
                                      default=0.0),
         "ybe_residual": 0.0,
@@ -295,7 +305,8 @@ def dense_braid_residuals(cat, rho, L, sol, seed, samples=2):
              for mu in (mu1, mu2, mu1 * mu2) for j in (1, 2)}
         lhs = R[mu1, 1] @ R[mu1 * mu2, 2] @ R[mu2, 1]
         rhs = R[mu2, 2] @ R[mu1 * mu2, 1] @ R[mu1, 2]
-        out["ybe_residual"] = max(out["ybe_residual"], fnorm(lhs - rhs) / fnorm(lhs))
+        out["ybe_residual"] = max(out["ybe_residual"],
+                                  local_fnorm(lhs - rhs, H, 0, 3) / local_fnorm(lhs, H, 0, 3))
     return out
 
 
@@ -384,6 +395,45 @@ def test_patch_checks_refuse_too_few_or_too_many_strands(check, strands):
         check(cat, sol, 2000)
 
 
+# each check's patch: the fewest strands on which it is reported
+PATCH_STRANDS = {"completeness": 2, "orthogonality": 2, "hermiticity": 2,
+                 "boundary_block_preservation": 2, "tl_quadratic": 3, "tl_cubic": 3,
+                 "reidemeister2": 3, "reidemeister3": 3, "distant_commutativity": 4,
+                 "ybe_residual": 3}
+
+
+def test_patch_residuals_do_not_depend_on_L():
+    # rounding noise on the patch, not on its copies: the same bits at every L
+    cat = bx.build_su2k(3)
+    sol = solved(cat, 1, 2)
+    seen = {}
+    for L in [*range(2, 13), 50, 100]:
+        reps = [bx.verify_projector_algebra(cat, 1, L)]
+        if L >= 3:
+            reps += [bx.verify_braid_relations(cat, 1, L),
+                     bx.verify_ybe(cat, 1, sol, L=L, samples=3, seed=5)]
+        for rep in reps:
+            assert rep.passed, (L, rep.to_dict())
+            for c in rep.checks:
+                if L >= PATCH_STRANDS[c.name]:
+                    seen.setdefault(c.name, set()).add(c.residual)
+    assert set(seen) == set(PATCH_STRANDS)
+    assert all(len(values) == 1 for values in seen.values()), seen
+
+
+@pytest.mark.parametrize("L", [3, 8, 50, 100])
+def test_broken_data_fails_the_patch_checks_at_every_L(L):
+    cat = bx.build_su2k(3)
+    sol = solved(cat, 1, 2)
+    chi = next(c for c in sol.channels if c != sol.reference)
+    r3 = bx.verify_braid_relations(flip_one_nu(cat, 1), 1, L).check("reidemeister3")
+    assert not r3.passed and r3.residual > 1.0
+    for bad, least in ((perturb_solution(sol, chi, 1e-6), 1e-7),
+                       (random_solution(cat, 1, 2, seed=13), 1e-2)):
+        ybe = bx.verify_ybe(cat, 1, bad, L=L, samples=3, seed=5).check("ybe_residual")
+        assert not ybe.passed and ybe.residual > least
+
+
 # ---------------------------------------------------------------------------
 # loop model closed forms
 
@@ -395,8 +445,6 @@ def test_loop_functional_seeded():
         u, u2 = rng.uniform(-1.2, 1.2, size=2) + 1j * rng.uniform(-2, 2, size=2)
         rep = bx.loop_functional_check(q, cmath.exp(u), cmath.exp(u2))
         assert rep.check("functional_equation").residual < 1e-10
-        assert rep.check("trivial_aaa").residual == 0.0
-        assert rep.check("trivial_cca").residual == 0.0
 
 
 def test_loop_functional_at_u_zero():
