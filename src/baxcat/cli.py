@@ -193,7 +193,7 @@ def _cmd_verify(args):
                                             samples=min(args.samples, 10),
                                             seed=args.seed, **tol)
         else:
-            rep = verify_braid_limits(cat, rho, sol)
+            rep = verify_braid_limits(cat, rho, sol, **tol)
             rep2 = verify_braid_relations(cat, rho, L=L, **tol)
             rep.params.update(L=L, dim=rep2.params["dim"])
             rep.checks.extend(rep2.checks)

@@ -2,9 +2,10 @@
 current conservation at a vertex, Yang-Baxter, commuting transfer matrices,
 braid limits, projector algebra, and the completely-packed-loop closed forms.
 
-The local identities (projector and Temperley-Lieb algebra, braid relations,
-YBE) are checked on the smallest open patch of strands that holds them, each
-local configuration counted once, so their residuals do not depend on L.
+The local identities (projector and Temperley-Lieb algebra, braid relations
+and limits, YBE) are checked on the smallest open patch of strands that holds
+them, 2 or 3 strands, each local configuration counted once, so their
+residuals do not depend on L.
 All sampling is seed-reproducible; spectral parameters are drawn from the
 annulus 0.2 < |mu| < 5 with small disks around poles excluded.
 """
@@ -214,17 +215,18 @@ def verify_commuting_transfer(cat: CategoryData, rho, solution: AmplitudeSolutio
 
 
 def verify_braid_limits(cat: CategoryData, rho, solution: AmplitudeSolution,
-                        tol_identity=1e-12, tol_braid=1e-6) -> VerificationReport:
-    """R(1) proportional to the identity; R at extreme mu proportional to one
-    of the braid generators, on the 3-strand patch.  Which sense matches is
-    recorded, not asserted."""
-    basis = enumerate_trees(cat, rho, 3, OPEN_ALL)
+                        tol=None) -> VerificationReport:
+    """R(1) equal to the identity; R at extreme mu proportional to one of the
+    braid generators, on the 2-strand patch.  Which sense matches is
+    recorded, not asserted.  A given `tol` replaces both tolerances, 1e-12
+    for R(1) and 1e-6 for the limits."""
+    tol_identity, tol_braid = (1e-12, 1e-6) if tol is None else (tol, tol)
+    basis = enumerate_trees(cat, rho, 2, OPEN_ALL)
     rep = VerificationReport(
         "braid_limits", params={"category": cat.name, "rho": cat.display(rho),
                                 "phi": cat.display(solution.phi)})
     r1 = r_op(solution, 1.0, 1, basis).matrix
-    rep.add("r_at_identity", _fnorm(r1 - np.eye(basis.size)) / math.sqrt(basis.size),
-            tol_identity)
+    rep.add("r_at_identity", _fnorm(r1 - np.eye(basis.size)), tol_identity)
 
     senses = [(sense, braid_op(cat, rho, 1, sense, basis).matrix) for sense in ("over", "under")]
     for mu, tag in ((1e8, "mu_large"), (1e-8, "mu_small")):
@@ -236,57 +238,44 @@ def verify_braid_limits(cat: CategoryData, rho, solution: AmplitudeSolution,
 
 
 def verify_projector_algebra(cat: CategoryData, rho, L, tol=1e-10) -> VerificationReport:
-    """Orthogonality, completeness, hermiticity, boundary-block preservation;
-    Temperley-Lieb relations whenever rho x rho has exactly two channels."""
+    """Completeness and orthogonality of the channel projectors; the
+    Temperley-Lieb relations whenever rho x rho has exactly two channels,
+    the quadratic one on 2 strands and the cubic one from L = 3."""
     basis, dim = _patch(cat, rho, L, 2, "the projector algebra")
     chans = fusion_product(cat, rho, rho)
     Ps = {c: projector_op(cat, rho, c, 1, basis).matrix for c in chans}
     rep = VerificationReport(
         "projector_algebra",
         params={"category": cat.name, "rho": cat.display(rho), "L": L, "dim": dim})
-    comp = _fnorm(sum(Ps.values()) - np.eye(basis.size))
-    rep.add("completeness", comp, tol, samples=L - 1)
+    rep.add("completeness", _fnorm(sum(Ps.values()) - np.eye(basis.size)), tol)
     orth = max(_fnorm(Ps[c1] @ Ps[c2] - (Ps[c1] if c1 == c2 else 0.0))
                for c1 in chans for c2 in chans)
-    rep.add("orthogonality", orth, tol, samples=(L - 1) * len(chans) ** 2)
-    herm = max(_fnorm(P - P.conj().T) for P in Ps.values())
-    rep.add("hermiticity", herm, tol, samples=(L - 1) * len(chans))
+    rep.add("orthogonality", orth, tol)
 
-    ends = basis.heights[:, [0, -1]]
-    off = (ends[:, None, :] != ends[None, :, :]).any(axis=2)
-    block = max(float(np.abs(P[off]).max(initial=0.0)) for P in Ps.values())
-    rep.add("boundary_block_preservation", block, tol)
-
-    if len(chans) == 2 and chans[0] == 0 and L >= 3:
+    if len(chans) == 2 and chans[0] == 0:
         d_rho = cat.dims[rho]
         e = d_rho * Ps[0]
         rep.add("tl_quadratic", _fnorm(e @ e - d_rho * e), tol, loop_weight=d_rho)
-        basis, _ = _patch(cat, rho, L, 3, "the Temperley-Lieb relations")
-        e1, e2 = (d_rho * projector_op(cat, rho, 0, j, basis).matrix for j in (1, 2))
-        rep.add("tl_cubic", max(_fnorm(e1 @ e2 @ e1 - e1), _fnorm(e2 @ e1 @ e2 - e2)), tol)
+        if L >= 3:
+            basis = enumerate_trees(cat, rho, 3, OPEN_ALL)
+            e1, e2 = (d_rho * projector_op(cat, rho, 0, j, basis).matrix for j in (1, 2))
+            rep.add("tl_cubic", max(_fnorm(e1 @ e2 @ e1 - e1), _fnorm(e2 @ e1 @ e2 - e2)), tol)
     return rep
 
 
 def verify_braid_relations(cat: CategoryData, rho, L=5, tol=1e-9) -> VerificationReport:
-    """Reidemeister II and III and distant commutativity for the
-    twist-weighted braid generators."""
+    """Reidemeister II and III for the twist-weighted braid generators."""
     basis, dim = _patch(cat, rho, L, 3, "Reidemeister III")
     b1, b2 = (braid_op(cat, rho, j, "over", basis).matrix for j in (1, 2))
     r3 = _fnorm(b1 @ b2 @ b1 - b2 @ b1 @ b2)
-    basis, _ = _patch(cat, rho, L, 2, "Reidemeister II")
+    basis = enumerate_trees(cat, rho, 2, OPEN_ALL)
     r2 = _fnorm(braid_op(cat, rho, 1, "over", basis).matrix
                 @ braid_op(cat, rho, 1, "under", basis).matrix - np.eye(basis.size))
-    far = 0.0
-    if L >= 4:
-        basis, _ = _patch(cat, rho, L, 4, "distant commutativity")
-        b1, b3 = (braid_op(cat, rho, j, "over", basis).matrix for j in (1, 3))
-        far = _fnorm(b1 @ b3 - b3 @ b1)
     rep = VerificationReport(
         "braid_relations",
         params={"category": cat.name, "rho": cat.display(rho), "L": L, "dim": dim})
-    rep.add("reidemeister2", r2, tol, samples=L - 1)
-    rep.add("reidemeister3", r3, tol, samples=L - 2)
-    rep.add("distant_commutativity", far, tol)
+    rep.add("reidemeister2", r2, tol)
+    rep.add("reidemeister3", r3, tol)
     return rep
 
 

@@ -219,6 +219,37 @@ def test_local_checks_pass_at_L_100(check):
     assert doc["params"]["dim"] == a4_path_count(100) > 10 ** 20
 
 
+def test_tl_quadratic_is_reported_on_two_strands():
+    rc, out, _ = run_cli(["--format", "json", "verify", "projectors", *SU2_3[:-2], "--L", "2"])
+    assert rc == 0
+    names = [c["check"] for c in json.loads(out)["checks"]]
+    assert "tl_quadratic" in names and "tl_cubic" not in names
+
+
+@pytest.mark.parametrize("check", ["projectors", "braid"])
+def test_local_reports_depend_on_L_only_through_dim(check):
+    # residuals, samples and verdicts come from the patch, whatever L is
+    args = SU2_3 if check != "projectors" else SU2_3[:-2]
+    docs = []
+    for L in (3, 100):
+        rc, out, _ = run_cli(["--format", "json", "verify", check, *args, "--L", str(L)])
+        assert rc == 0
+        doc = json.loads(out)
+        assert doc["params"].pop("L") == L
+        doc["params"].pop("dim")
+        docs.append(doc)
+    assert docs[0] == docs[1]
+    assert all(c["samples"] == 1 for c in docs[0]["checks"])
+
+
+def test_tol_reaches_every_braid_check():
+    rc, out, _ = run_cli(["--format", "json", "verify", "braid", *SU2_3, "--L", "3",
+                          "--tol", "1e-8"])
+    assert rc == 0
+    checks = json.loads(out)["checks"]
+    assert len(checks) == 5 and {c["tolerance"] for c in checks} == {"1e-08"}
+
+
 def _no_f(*args):
     raise AssertionError("an F table was built")
 
