@@ -274,7 +274,9 @@ def build_family(family: str, **params) -> CategoryData:
         raise DomainError(f"unknown family {family!r}; know {tuple(FAMILIES)}")
     unknown = sorted(set(params) - {p.kwarg for p in fam.params})
     if unknown:
-        raise DomainError(f"family {family!r} takes no parameter {unknown[0]!r}")
+        flags = {p.kwarg: f" ({p.flag})" for f in FAMILIES.values() for p in f.params}
+        raise DomainError(f"family {family!r} takes no parameter {unknown[0]!r}"
+                          f"{flags.get(unknown[0], '')}")
     for p in fam.params:
         p.check(params.get(p.kwarg))
     return fam.build(**params)

@@ -48,26 +48,41 @@ def _finite_complex(text):
     return val
 
 
+# every family flag and the parameter it sets
+FAMILY_PARAMS = {p.flag: p for fam in FAMILIES.values() for p in fam.params}
+
+# the flags each `verify` check reads besides --tol; all but loop also read
+# the family flags, --export-category and --rho
+VERIFY_FLAGS = {
+    "ybe": ("--phi", "--L", "--samples", "--seed"),
+    "current": ("--phi", "--samples", "--seed"),
+    "braid": ("--phi", "--L"),
+    "projectors": ("--L",),
+    "transfer": ("--phi", "--L", "--samples", "--seed"),
+    "loop": ("--samples", "--seed", "--q"),
+}
+
+
 def _family_kwargs(args):
-    """The family's parameters from their flags; build_family rejects a missing one."""
-    return {p.kwarg: getattr(args, p.flag[2:]) for p in FAMILIES[args.family].params}
+    """Every family flag given; build_family refuses a foreign, missing or
+    below-minimum parameter."""
+    given = {flag: getattr(args, flag[2:]) for flag in FAMILY_PARAMS}
+    return {FAMILY_PARAMS[flag].kwarg: v for flag, v in given.items() if v is not None}
 
 
 def _build_cat(args):
     cat = build_family(args.family, **_family_kwargs(args))
-    if getattr(args, "export_category", None):
+    if args.export_category:
         with open(args.export_category, "w") as fh:
             fh.write(category_to_json(cat))
     return cat
 
 
-def _add_family_args(p, required=True):
-    p.add_argument("--family", required=required, choices=list(FAMILIES))
-    users = {}
-    for name, fam in FAMILIES.items():
-        for prm in fam.params:
-            users.setdefault(prm.flag, []).append(f"{name} {prm.kwarg}>={prm.minimum}")
-    for flag, uses in users.items():
+def _add_family_args(p):
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
+    for flag, prm in FAMILY_PARAMS.items():
+        uses = [f"{name} {prm.kwarg}>={prm.minimum}"
+                for name, fam in FAMILIES.items() if prm in fam.params]
         p.add_argument(flag, dest=flag[2:], type=int, help="; ".join(uses))
     p.add_argument("--export-category", metavar="PATH",
                    help="also write the category JSON document here")
@@ -170,35 +185,28 @@ def _cmd_verify(args):
                           f"{'pass' if passed else 'fail'}"])
         return 0 if passed else 1
 
-    if args.family is None:
-        raise DomainError(f"--family is required for verify {args.check}")
-    if args.rho is None:
-        raise DomainError(f"--rho is required for verify {args.check}")
     cat = _build_cat(args)
     rho = cat.label_id(args.rho)
-    L = args.L if args.L is not None else (3 if args.check == "ybe" else 4)
-    if args.check in ("current", "ybe", "transfer", "braid"):
-        if args.phi is None:
-            raise DomainError(f"--phi is required for verify {args.check}")
+    if args.check == "projectors":
+        rep = verify_projector_algebra(cat, rho, L=args.L, **tol)
+    else:
         phi = cat.label_id(args.phi)
         sol = solve_central(cat, rho, phi)
         if args.check == "current":
             rep = verify_current_vertex(cat, rho, phi, sol, samples=args.samples,
                                         seed=args.seed, **tol)
         elif args.check == "ybe":
-            rep = verify_ybe(cat, rho, sol, L=L, samples=args.samples,
+            rep = verify_ybe(cat, rho, sol, L=args.L, samples=args.samples,
                              seed=args.seed, **tol)
         elif args.check == "transfer":
-            rep = verify_commuting_transfer(cat, rho, sol, L=L,
+            rep = verify_commuting_transfer(cat, rho, sol, L=args.L,
                                             samples=min(args.samples, 10),
                                             seed=args.seed, **tol)
         else:
             rep = verify_braid_limits(cat, rho, sol, **tol)
-            rep2 = verify_braid_relations(cat, rho, L=L, **tol)
-            rep.params.update(L=L, dim=rep2.params["dim"])
+            rep2 = verify_braid_relations(cat, rho, L=args.L, **tol)
+            rep.params.update(L=args.L, dim=rep2.params["dim"])
             rep.checks.extend(rep2.checks)
-    else:
-        rep = verify_projector_algebra(cat, rho, L=L, **tol)
     doc = rep.to_dict()
     _emit(args, doc, rep.summary_lines())
     return 0 if rep.passed else 1
@@ -229,21 +237,25 @@ def build_parser():
     p_cls.set_defaults(func=_cmd_classify)
 
     p_ver = sub.add_parser("verify", help="run a verification suite")
-    p_ver.add_argument("check",
-                       choices=["ybe", "current", "braid", "projectors", "transfer", "loop"])
-    _add_family_args(p_ver, required=False)
-    p_ver.add_argument("--rho")
-    p_ver.add_argument("--phi")
-    p_ver.add_argument("--L", type=_positive(int),
-                       help="lattice width (default 3 for ybe, 4 otherwise)")
-    p_ver.add_argument("--samples", type=_positive(int), default=25)
-    p_ver.add_argument("--seed", type=int, default=0)
-    p_ver.add_argument("--tol", type=_positive(float),
+    checks = p_ver.add_subparsers(dest="check", required=True)
+    flag_args = {
+        "--phi": {"required": True},
+        "--L": {"type": _positive(int), "default": 4, "help": "lattice width (default %(default)s)"},
+        "--samples": {"type": _positive(int), "default": 25},
+        "--seed": {"type": int, "default": 0},
+        "--q": {"type": _finite_complex, "help": "loop-model q",
+                "default": "0.80901699437494742+0.58778525229247314j"},
+    }
+    for check, flags in VERIFY_FLAGS.items():
+        p = checks.add_parser(check)
+        if check != "loop":
+            _add_family_args(p)
+            p.add_argument("--rho", required=True)
+        for flag in flags:
+            p.add_argument(flag, **flag_args[flag])
+        p.add_argument("--tol", type=_positive(float),
                        help="residual tolerance (default: each check's own)")
-    p_ver.add_argument("--q", type=_finite_complex,
-                       default="0.80901699437494742+0.58778525229247314j",
-                       help="loop-model q (verify loop only)")
-    p_ver.set_defaults(func=_cmd_verify)
+        p.set_defaults(func=_cmd_verify, **({"L": 3} if check == "ybe" else {}))
     return ap
 
 

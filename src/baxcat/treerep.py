@@ -20,7 +20,6 @@ import numpy as np
 from .baxterize import AmplitudeSolution, amplitude_at
 from .category import CategoryData, fusion_product, twist_factor
 from .errors import CapabilityError, DomainError
-from .report import fmt_complex
 
 OPEN_ALL = "open_all"
 PERIODIC = "periodic"
@@ -37,11 +36,8 @@ class FusionTreeBasis:
     """
 
     def __init__(self, cat: CategoryData, rho, L, bc):
-        if cat.rules is None:
-            raise CapabilityError(f"{cat.name} carries no fusion tensor")
+        step = _adjacency(cat, rho, L)
         rho = cat.check_label(rho)
-        if L < 0:
-            raise DomainError("strand count must be >= 0")
         if bc not in (OPEN_ALL, PERIODIC):
             raise DomainError(f"unknown boundary condition {bc!r}")
         self.cat = cat
@@ -49,14 +45,16 @@ class FusionTreeBasis:
         self.L = L
         self.bc = bc
         # grow the sequences one step at a time; np.nonzero keeps the rows
-        # in lexicographic order
-        step = cat.rules.N[rho]
+        # in lexicographic order.  A periodic basis keeps only the prefixes
+        # that can still return to h_0, so no step holds more rows than the
+        # basis (an odd L on a bipartite rho has none)
+        reach = _reach(step) if bc == PERIODIC else None
         H = np.arange(cat.n_objects)[:, None]
-        for _ in range(L):
+        for m in range(1, L + 1):
             rows, nxt = np.nonzero(step[H[:, -1]])
             H = np.column_stack((H[rows], nxt))
-        if bc == PERIODIC:
-            H = H[H[:, -1] == H[:, 0]]
+            if reach:
+                H = H[reach(L - m)[H[:, -1], H[:, 0]]]
         H.setflags(write=False)
         self.heights = H
 
@@ -66,14 +64,6 @@ class FusionTreeBasis:
 
     def site_range(self):
         return range(1, self.L + 1) if self.bc == PERIODIC else range(1, self.L)
-
-    def check_dense(self):
-        """Refuse a basis too large for dense n x n operators."""
-        if self.size > MAX_DENSE_DIM:
-            raise DomainError(
-                f"basis dimension {self.size} exceeds the dense-operator budget of "
-                f"{MAX_DENSE_DIM} states ({self.size ** 2 * 16 / 1e9:.1f} GB per complex "
-                f"matrix); use a smaller L or strand")
 
     @functools.cached_property
     def face(self) -> np.ndarray:
@@ -91,15 +81,15 @@ class FusionTreeBasis:
 class LinearOp:
     basis: FusionTreeBasis
     matrix: np.ndarray
-    name: str
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
-    def to_dict(self) -> dict:
-        flat = [fmt_complex(z) for z in self.matrix.reshape(-1)]
-        return {"name": self.name, "dim": self.dim, "entries_row_major": flat}
+def check_dense(size):
+    """Refuse a basis of `size` states, too large for dense n x n operators."""
+    if size > MAX_DENSE_DIM:
+        what = (f"{size} exceeds the dense-operator budget of {MAX_DENSE_DIM} states "
+                f"({size ** 2 * 16 / 1e9:.1f} GB per complex matrix)" if size < 10 ** 6 else
+                f"over 10^6 exceeds the dense-operator budget of {MAX_DENSE_DIM} states")
+        raise DomainError(f"basis dimension {what}; use a smaller L or strand")
 
 
 def enumerate_trees(cat: CategoryData, rho, L, bc) -> FusionTreeBasis:
@@ -107,14 +97,42 @@ def enumerate_trees(cat: CategoryData, rho, L, bc) -> FusionTreeBasis:
     return FusionTreeBasis(cat, rho, L, bc)
 
 
+def _adjacency(cat: CategoryData, rho, L):
+    """rho's fusion adjacency, which heights may follow which, as booleans;
+    refuses a category without fusion rules and L < 0 strands."""
+    if cat.rules is None:
+        raise CapabilityError(f"{cat.name} carries no fusion tensor")
+    if L < 0:
+        raise DomainError("strand count must be >= 0")
+    return cat.rules.N[cat.check_label(rho)] != 0
+
+
+def _reach(step):
+    """r -> which heights reach which in exactly r steps.  The boolean powers
+    of `step` repeat from some power on; those up to the first repeat are made."""
+    powers = [np.eye(len(step), dtype=bool)]
+    keys = [powers[0].tobytes()]
+    while (R := powers[-1] @ step.astype(int) > 0).tobytes() not in keys:
+        powers.append(R)
+        keys.append(R.tobytes())
+    start = keys.index(R.tobytes())
+    return lambda r: powers[r if r < start else start + (r - start) % (len(powers) - start)]
+
+
 def path_counts(cat: CategoryData, rho, L):
     """Exact int vectors into[m][h], m = 0..L: the height paths of m steps that
     end at h (the column sums of the m-th power of rho's fusion adjacency)."""
-    step = (cat.rules.N[cat.check_label(rho)] != 0).astype(object)
+    step = _adjacency(cat, rho, L).astype(object)
     into = [np.ones(cat.n_objects, dtype=object)]
     for _ in range(L):
         into.append(into[-1] @ step)
     return into
+
+
+def periodic_count(cat: CategoryData, rho, L) -> int:
+    """Exact size of the periodic basis of L steps: the closed height paths,
+    the trace of the L-th power of rho's fusion adjacency."""
+    return int(np.linalg.matrix_power(_adjacency(cat, rho, L).astype(object), L).trace())
 
 
 def face_weights(basis: FusionTreeBasis, rho, coeffs) -> np.ndarray:
@@ -128,12 +146,12 @@ def face_weights(basis: FusionTreeBasis, rho, coeffs) -> np.ndarray:
     return (U * c) @ U.conj().swapaxes(-1, -2)
 
 
-def _site_op(basis: FusionTreeBasis, rho, coeffs, j, name) -> LinearOp:
+def _site_op(basis: FusionTreeBasis, rho, coeffs, j) -> LinearOp:
     """M[r, c] = W[h_{j-1}(c), h_{j+1}(c), h_j(r), h_j(c)] wherever states r and
     c agree off site j (and off h_0 = h_L at the periodic seam j = L)."""
     if j not in basis.site_range():
         raise DomainError(f"site {j} outside {list(basis.site_range())} for bc={basis.bc}")
-    basis.check_dense()
+    check_dense(basis.size)
     W = face_weights(basis, rho, coeffs)
     H = basis.heights
     seam = basis.bc == PERIODIC and j == basis.L
@@ -142,7 +160,7 @@ def _site_op(basis: FusionTreeBasis, rho, coeffs, j, name) -> LinearOp:
     r, c = np.nonzero(cls[:, None] == cls)
     M = np.zeros((basis.size, basis.size), dtype=complex)
     M[r, c] = W[H[c, j - 1], H[c, 1 if seam else j + 1], H[r, j], H[c, j]]
-    return LinearOp(basis, M, name)
+    return LinearOp(basis, M)
 
 
 def projector_op(cat: CategoryData, rho, chi, j, basis: FusionTreeBasis) -> LinearOp:
@@ -156,7 +174,7 @@ def projector_op(cat: CategoryData, rho, chi, j, basis: FusionTreeBasis) -> Line
     if chi not in fusion_product(cat, rho, rho):
         raise DomainError(f"{cat.display(chi)} is not a channel of "
                           f"{cat.display(rho)} x {cat.display(rho)}")
-    return _site_op(basis, rho, {chi: 1.0}, j, f"P[{cat.display(chi)}]_{j}")
+    return _site_op(basis, rho, {chi: 1.0}, j)
 
 
 def braid_op(cat: CategoryData, rho, j, sense, basis: FusionTreeBasis) -> LinearOp:
@@ -167,7 +185,7 @@ def braid_op(cat: CategoryData, rho, j, sense, basis: FusionTreeBasis) -> Linear
     power = -1 if sense == "under" else 1
     twists = {chi: twist_factor(cat, chi, rho, rho) ** power
               for chi in fusion_product(cat, rho, rho)}
-    return _site_op(basis, rho, twists, j, f"B{'bar' if sense == 'under' else ''}_{j}")
+    return _site_op(basis, rho, twists, j)
 
 
 def r_op(solution: AmplitudeSolution, mu, j, basis: FusionTreeBasis) -> LinearOp:
@@ -175,7 +193,7 @@ def r_op(solution: AmplitudeSolution, mu, j, basis: FusionTreeBasis) -> LinearOp
     if basis.cat.name != solution.cat.name:
         raise DomainError("basis and solution belong to different categories")
     amps = {chi: amplitude_at(solution, chi, mu) for chi in solution.channels}
-    return _site_op(basis, solution.rho, amps, j, f"R_{j}")
+    return _site_op(basis, solution.rho, amps, j)
 
 
 def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> LinearOp:
@@ -191,10 +209,10 @@ def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> 
     """
     if basis.bc != PERIODIC:
         raise DomainError("transfer matrix needs a periodic basis")
-    basis.check_dense()
+    check_dense(basis.size)
     n, L = basis.size, basis.L
     if L == 0:
-        return LinearOp(basis, np.eye(n, dtype=complex), "T")
+        return LinearOp(basis, np.eye(n, dtype=complex))
     amps = {chi: amplitude_at(solution, chi, mu) for chi in solution.channels}
     T = np.ones((n, n), dtype=complex)
     if n:               # an empty basis reads no F
@@ -202,4 +220,4 @@ def transfer_matrix(solution: AmplitudeSolution, mu, basis: FusionTreeBasis) -> 
         H = basis.heights[:, :L]
         for j in range(L):
             T *= W[H[:, j - 1, None], H[:, (j + 1) % L], H[:, j, None], H[:, j]]
-    return LinearOp(basis, T, "T")
+    return LinearOp(basis, T)

@@ -25,8 +25,9 @@ from .category import CategoryData, fusion_product, twist_edge_ratio
 from .errors import CapabilityError, DomainError, PoleError
 from .ratfunc import RationalFunction
 from .report import VerificationReport, fmt_complex
-from .treerep import (OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
-                      path_counts, projector_op, r_op, transfer_matrix)
+from .treerep import (OPEN_ALL, PERIODIC, braid_op, check_dense, enumerate_trees,
+                      path_counts, periodic_count, projector_op, r_op,
+                      transfer_matrix)
 
 POLE_EXCLUSION = 1e-3
 
@@ -47,6 +48,14 @@ def mu_annulus(rng, n, avoid=()):
 def _check_samples(samples):
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+
+
+def _check_consistent(solution):
+    """Refuse an INCONSISTENT solution: its weights have no current to check."""
+    if solution.verdict == INCONSISTENT:
+        cat = solution.cat
+        raise DomainError(f"({cat.display(solution.rho)}, {cat.display(solution.phi)}) is "
+                          f"{INCONSISTENT}: the checks require a consistent solution")
 
 
 def _fnorm(m):
@@ -126,8 +135,7 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
     _check_samples(samples)
     if not cat.representable:
         raise CapabilityError(f"{cat.name} has no F-symbols; vertex check needs them")
-    if solution.verdict == INCONSISTENT:
-        raise DomainError("current-vertex check requires a consistent solution")
+    _check_consistent(solution)
     rho, phi = cat.check_label(rho), cat.check_label(phi)
     phibar = cat.rules.dual[phi]
     d = cat.dims
@@ -169,6 +177,7 @@ def verify_ybe(cat: CategoryData, rho, solution: AmplitudeSolution, L=3,
     3-strand patch, multiplicative difference form, relative to the left side;
     L sets the stated dimension."""
     _check_samples(samples)
+    _check_consistent(solution)
     basis, dim = _patch(cat, rho, L, 3, "YBE")
 
     def residual(mu1, mu2):
@@ -191,10 +200,11 @@ def verify_ybe(cat: CategoryData, rho, solution: AmplitudeSolution, L=3,
 
 def verify_commuting_transfer(cat: CategoryData, rho, solution: AmplitudeSolution,
                               L, samples=5, seed=0, tol=1e-8) -> VerificationReport:
-    """Relative commutator of T(mu), T(mu') on the periodic basis."""
+    """Relative commutator of T(mu), T(mu') on the periodic basis, which is
+    counted exactly and refused over the dense budget before it is built."""
     _check_samples(samples)
-    if L > 8:
-        raise DomainError("transfer check capped at L = 8")
+    _check_consistent(solution)
+    check_dense(periodic_count(cat, rho, L))
     basis = enumerate_trees(cat, rho, L, PERIODIC)
 
     def residual(mu1, mu2):
@@ -220,6 +230,7 @@ def verify_braid_limits(cat: CategoryData, rho, solution: AmplitudeSolution,
     braid generators, on the 2-strand patch.  Which sense matches is
     recorded, not asserted.  A given `tol` replaces both tolerances, 1e-12
     for R(1) and 1e-6 for the limits."""
+    _check_consistent(solution)
     tol_identity, tol_braid = (1e-12, 1e-6) if tol is None else (tol, tol)
     basis = enumerate_trees(cat, rho, 2, OPEN_ALL)
     rep = VerificationReport(

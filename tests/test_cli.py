@@ -137,6 +137,7 @@ def test_table_numbers_round_trip_through_json():
 
 
 SU2_3 = ["--family", "su2", "--level", "3", "--rho", "1/2", "--phi", "1"]
+SU2_8_INCONSISTENT = ["--family", "su2", "--level", "8", "--rho", "3/2", "--phi", "2"]
 
 
 @pytest.mark.parametrize("args", [
@@ -155,15 +156,55 @@ SU2_3 = ["--family", "su2", "--level", "3", "--rho", "1/2", "--phi", "1"]
     ["verify", "braid", *SU2_3, "--L", "2"],
     ["verify", "projectors", *SU2_3[:-2], "--L", "1"],
     ["verify", "projectors", *SU2_3[:-2], "--L", "2000"],
+    *(["verify", check, *SU2_8_INCONSISTENT] for check in ("current", "ybe", "transfer", "braid")),
 ], ids=["mu-abc", "mu-nan", "mu-inf", "q-nan", "export-no-dir", "loop-q0", "L0", "samples0",
         "samples-3", "tol0", "tol-nan", "braid-L1", "braid-L2", "projectors-L1",
-        "projectors-L2000"])
+        "projectors-L2000", "inconsistent-current", "inconsistent-ybe", "inconsistent-transfer",
+        "inconsistent-braid"])
 def test_bad_input_exits_2(args, tmp_path):
     missing = str(tmp_path / "no-such-dir" / "cat.json")
     rc, _, err = run_cli([a.replace("{missing}", missing) for a in args])
     assert rc == 2
     assert "error:" in err
     assert "Traceback" not in err
+
+
+# an argv of each verify check that passes, and every flag the check does not read
+VERIFY_BASE = {
+    "current": [*SU2_3, "--samples", "3"],
+    "ybe": [*SU2_3, "--samples", "2"],
+    "transfer": [*SU2_3, "--L", "4", "--samples", "2"],
+    "braid": [*SU2_3, "--L", "3"],
+    "projectors": [*SU2_3[:-2], "--L", "3"],
+    "loop": ["--samples", "3"],
+}
+UNREAD = {
+    "current": [["--L", "5"], ["--q", "3"]],
+    "ybe": [["--q", "3"]],
+    "transfer": [["--q", "3"]],
+    "braid": [["--samples", "100"], ["--seed", "9"], ["--q", "3"]],
+    "projectors": [["--phi", "99"], ["--samples", "7"], ["--seed", "9"], ["--q", "3"]],
+    "loop": [["--family", "su2"], ["--level", "3"], ["--M", "4"], ["--n", "5"], ["--m", "2"],
+             ["--export-category", "{path}"], ["--rho", "1/2"], ["--phi", "1"], ["--L", "5"]],
+}
+REFUSED = [pytest.param(["verify", check, *VERIFY_BASE[check], *flag], id=f"{check}{flag[0]}")
+           for check, flags in UNREAD.items() for flag in flags] + [
+    pytest.param(["classify", "--family", "su2", "--level", "3", "--M", "7"], id="classify--M"),
+    pytest.param(["baxterize", *SU2_3, "--n", "5"], id="baxterize--n"),
+    pytest.param(["verify", "current", *SU2_3, "--m", "2"], id="current--m"),
+    pytest.param(["verify", "ybe", *SU2_3[:-2]], id="ybe-no-phi"),
+]
+
+
+@pytest.mark.parametrize("args", REFUSED)
+def test_a_flag_the_command_does_not_read_exits_2(args, tmp_path):
+    # the parser of each command and check declares only the flags it reads, and
+    # build_family refuses a family flag of another family
+    rc, out, err = run_cli([a.replace("{path}", str(tmp_path / "cat.json")) for a in args])
+    assert (rc, out) == (2, "")
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+    assert not (tmp_path / "cat.json").exists()
 
 
 def test_zero_amplitude_is_a_pole_of_the_edge_ratio_and_exits_2():

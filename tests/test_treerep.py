@@ -10,8 +10,8 @@ import baxcat as bx
 from baxcat import treerep
 from baxcat.errors import CapabilityError, DomainError, PoleError
 from baxcat.treerep import (OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
-                            face_weights, path_counts, projector_op, r_op,
-                            transfer_matrix)
+                            face_weights, path_counts, periodic_count, projector_op,
+                            r_op, transfer_matrix)
 
 
 def states(basis):
@@ -96,6 +96,8 @@ def test_enumeration_matches_the_literal_search(cat, rho):
             want = literal_enumeration(cat, rho, L, bc)
             assert basis.heights.shape == (len(want), L + 1)
             assert states(basis) == want                    # row order included
+            if bc == PERIODIC:
+                assert periodic_count(cat, rho, L) == len(want)
             if not want:
                 empty.add((bc, L % 2))
     if not np.trace(adjacency_matrix(cat, rho)):
@@ -117,10 +119,19 @@ def test_path_counts_count_the_open_basis(cat, rho):
     assert all(type(x) is int for x in into[-1]) and sum(into[-1]) > 10 ** 310
 
 
+def test_periodic_enumeration_keeps_only_closable_prefixes():
+    # 1.4e9 open sequences of 41 steps, none of them periodic: the basis is
+    # built without holding them
+    cat = bx.build_su2k(3)
+    assert enumerate_trees(cat, 1, 41, PERIODIC).heights.shape == (0, 42)
+
+
 def test_enumerate_requires_rules():
     so5 = bx.build_family("so", n=5, k=2)
-    with pytest.raises(CapabilityError):
-        enumerate_trees(so5, 3, 4, OPEN_ALL)
+    for count in (lambda: enumerate_trees(so5, 3, 4, OPEN_ALL),
+                  lambda: path_counts(so5, 3, 4), lambda: periodic_count(so5, 3, 4)):
+        with pytest.raises(CapabilityError):
+            count()
 
 
 def test_projector_completeness_and_projalg():
@@ -333,17 +344,6 @@ def test_block_preservation_open_all():
                 assert P[i2, i1] == 0
 
 
-def test_linear_op_json():
-    cat = bx.build_su2k(2)
-    basis = enumerate_trees(cat, 1, 3, OPEN_ALL)
-    op = projector_op(cat, 1, 0, 1, basis)
-    doc = op.to_dict()
-    assert doc["dim"] == basis.size
-    assert len(doc["entries_row_major"]) == basis.size ** 2
-    flat = [complex(float(re), float(im)) for re, im in doc["entries_row_major"]]
-    assert np.array_equal(np.array(flat).reshape(op.matrix.shape), op.matrix)
-
-
 # The literal state-by-state loops of the scalar operator layer, kept as
 # oracles for the face-table gathers.
 
@@ -493,4 +493,4 @@ def test_dense_operators_refuse_a_basis_over_the_budget(monkeypatch):
         with pytest.raises(DomainError, match=f"dimension {basis.size} exceeds .* {basis.size - 1}"):
             build()
     monkeypatch.setattr(treerep, "MAX_DENSE_DIM", basis.size)
-    assert transfer_matrix(sol, 2.0, basis).dim == basis.size
+    assert transfer_matrix(sol, 2.0, basis).matrix.shape[0] == basis.size

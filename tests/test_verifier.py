@@ -4,6 +4,7 @@ positive checks honest."""
 import cmath
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -76,10 +77,17 @@ def test_sampled_checks_refuse_no_samples(samples):
 
 
 def test_current_vertex_rejects_inconsistent():
+    # spin 3/2, phi = 2 at su(2)_8: every check of the weights refuses the pair alike
     cat = bx.build_su2k(8)
     sol = solved(cat, 3, 4)
-    with pytest.raises(DomainError):
-        bx.verify_current_vertex(cat, 3, 4, sol)
+    assert sol.verdict == "INCONSISTENT"
+    for check in (lambda: bx.verify_current_vertex(cat, 3, 4, sol),
+                  lambda: bx.verify_ybe(cat, 3, sol, samples=2),
+                  lambda: bx.verify_commuting_transfer(cat, 3, sol, L=4, samples=2),
+                  lambda: bx.verify_braid_limits(cat, 3, sol)):
+        with pytest.raises(DomainError, match=r"^\(3/2, 2\) is INCONSISTENT: the checks "
+                                              r"require a consistent solution$"):
+            check()
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +180,17 @@ def test_ybe_and_transfer_state_where_the_worst_residual_occurred(monkeypatch):
         assert check.to_dict()["details"]["worst_at"] == [fmt_complex(mu1), fmt_complex(mu2)]
 
 
-def test_transfer_cap():
-    cat = bx.build_su2k(2)
+def test_transfer_size_guard():
+    # the periodic basis is counted exactly and refused over the dense budget
+    # before it is built: L = 10 has 246 states, L = 100 about 1.6e21
+    cat = bx.build_su2k(3)
     sol = solved(cat, 1, 2)
-    with pytest.raises(DomainError):
-        bx.verify_commuting_transfer(cat, 1, sol, L=9)
+    rep = bx.verify_commuting_transfer(cat, 1, sol, L=10, samples=2)
+    assert rep.passed and rep.params["dim"] == 246
+    t = time.perf_counter()
+    with pytest.raises(DomainError, match="over 10\\^6 exceeds the dense-operator budget"):
+        bx.verify_commuting_transfer(cat, 1, sol, L=100, samples=2)
+    assert time.perf_counter() - t < 1
 
 
 # ---------------------------------------------------------------------------
