@@ -5,9 +5,9 @@ twist variant A_{k+1}, and the Z_M Tambara-Yamagami clock categories.
 Twist-only families (spins, signs and declared tensor-product adjacency,
 no fusion tensor): so(n)_k, sp(2m)_k, (G_2)_k.
 
-F tables are built on the first read of `CategoryData.f.blocks`: solving and
-classifying use twist data only, so they never pay for one, nor for numpy,
-which only the F builders import.
+F tables are built on the first F read (`CategoryData.f.flat`, its lookups or
+`.blocks`): solving and classifying use twist data only, so they never pay
+for one, nor for numpy, which only the F builders import.
 
 `FAMILIES` is the one registry of them: `build_family`, `catalog list` and the
 command-line family flags and their bounds are all read from it.
@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Callable
 
 from .category import (CategoryData, FSymbolTable, FusionRules, ObjectLabel,
-                       QuantumDims, TwistData)
+                       QuantumDims, TwistData, f_blocks, f_rows)
 from .errors import DomainError
 from .sixj import su2_admissible, su2k_f_blocks
 
@@ -121,37 +121,25 @@ def ty_f_blocks(M: int) -> dict:
     """Z_M Tambara-Yamagami F blocks, bicharacter omega^{ab}, FS indicator +1.
 
     Nontrivial values sit on the (a,X,c), (X,b,X) and (X,X,X) block patterns;
-    the placement below passes the pentagon for every M.  The matrices are
-    read-only.
+    the placement below passes the pentagon for every M.  All entries are
+    computed at once, as arrays, each by the scalar operations of the entry
+    formula.  The matrices are read-only.
     """
     import numpy as np
     X = M
     omega = np.exp(2j * np.pi / M)
-    lab = range(M + 1)
-    blocks = {}
-    for x, y, z in itertools.product(lab, repeat=3):
-        ws = set()
-        for u in _ty_fusion(x, y, M):
-            ws.update(_ty_fusion(u, z, M))
-        for w in sorted(ws):
-            us = tuple(u for u in _ty_fusion(x, y, M) if w in _ty_fusion(u, z, M))
-            vs = tuple(v for v in _ty_fusion(y, z, M) if w in _ty_fusion(x, v, M))
-            if not us or not vs:
-                continue
-            mat = np.zeros((len(us), len(vs)), dtype=complex)
-            for i, u in enumerate(us):
-                for j, v in enumerate(vs):
-                    if x == X and y == X and z == X:
-                        mat[i, j] = omega ** (-u * v) / math.sqrt(M)
-                    elif x != X and y == X and z != X:
-                        mat[i, j] = omega ** (x * z)
-                    elif x == X and y != X and z == X:
-                        mat[i, j] = omega ** (y * w)
-                    else:
-                        mat[i, j] = 1.0
-            mat.setflags(write=False)       # cached, so shared by every build
-            blocks[(x, y, z, w)] = (us, vs, mat)
-    return blocks
+    adm = np.zeros((M + 1,) * 3, dtype=bool)
+    for a, b in itertools.product(range(M + 1), repeat=2):
+        adm[a, b, _ty_fusion(a, b, M)] = True
+    rows = f_rows(adm)
+    x, y, z, w, u, v = rows.T
+    xxx = (x == X) & (y == X) & (z == X)
+    vals = np.ones(len(rows), dtype=complex)
+    vals[xxx] = omega ** (-u * v)[xxx] / math.sqrt(M)
+    for on, power in (((x != X) & (y == X) & (z != X), x * z),
+                      ((x == X) & (y != X) & (z == X), y * w)):
+        vals[on] = omega ** power[on]
+    return f_blocks(rows, vals)             # cached, so shared by every build
 
 
 def build_tambara_yamagami(M: int) -> CategoryData:

@@ -7,12 +7,13 @@ Labels are dense integers 0..n-1 with 0 the identity object.  Half-integer
 su(2) spins are stored as doubled integers and rendered as "1/2", "3/2", ...
 by the display layer.
 
-F-symbols are stored as unitary blocks ``[F^{xyz}_w]_{uv}`` where u runs over
-x*y and v over y*z.  The two-index symbol written ``F_{tt'}[r s; a b]`` is
-``[F^{a r s}_b]_{t t'}``.  The tables are kept in the gauge where the
-special-value and rotation identities below hold with positive square roots;
-correctness of a table means passing `check_f_identities`, not matching any
-published gauge.
+F-symbols ``[F^{xyz}_w]_{uv}``, where u runs over x*y and v over y*z, are
+stored as one flat sorted index of entries; each (x, y, z, w) is a unitary
+block, which `FSymbolTable.blocks` gives as a matrix.  The two-index symbol
+written ``F_{tt'}[r s; a b]`` is ``[F^{a r s}_b]_{t t'}``.  The tables are
+kept in the gauge where the special-value and rotation identities below hold
+with positive square roots; correctness of a table means passing
+`check_f_identities`, not matching any published gauge.
 
 Labels, fusion channels, spins and signs are plain Python data, so solving
 and classifying never load numpy: each function that computes with arrays
@@ -136,12 +137,17 @@ def f_labels(keys):
 
 
 class FSymbolTable:
-    """Sparse storage for [F^{xyz}_w]_{uv}: unitary blocks, indexed once as
-    `flat`.
+    """Sparse storage for [F^{xyz}_w]_{uv}, indexed once as `flat`, which
+    every check and the export read; `blocks` gives the same entries as a
+    dict of block matrices.
 
     Takes the blocks themselves or a zero-argument loader returning them; a
     loader runs on the first read of `blocks` and its result is kept.
+    `from_entries` takes the entries as rows instead, and then derives
+    `blocks` only when it is read.
     """
+
+    _rows = None            # (labels, vals) given to `from_entries`
 
     def __init__(self, blocks):
         # blocks: {(x,y,z,w): (us tuple, vs tuple, complex matrix)}, or a loader
@@ -149,6 +155,14 @@ class FSymbolTable:
             self._load = blocks
         else:
             self.blocks = blocks
+
+    @classmethod
+    def from_entries(cls, labels, vals) -> "FSymbolTable":
+        """The table of the (x, y, z, w, u, v) rows `labels`, in key order and
+        each block the full product of its us and vs, with values `vals`."""
+        table = cls(lambda: f_blocks(labels, vals))
+        table._rows = labels, vals
+        return table
 
     @functools.cached_property
     def blocks(self):
@@ -160,13 +174,8 @@ class FSymbolTable:
         (x, y, z, w, u, v) tuples and their values, closed by a sentinel key
         above all others with value 0."""
         import numpy as np
-        blocks = self.blocks
-        us, vs, mats = zip(*blocks.values()) if blocks else ((), (), ())
-        nu, nv = (np.fromiter(map(len, t), np.int64, len(t)) for t in (us, vs))
-        labels = _block_rows(np.array(list(blocks), dtype=np.int64).reshape(-1, 4),
-                             np.fromiter(itertools.chain.from_iterable(us), np.int64, nu.sum()), nu,
-                             np.fromiter(itertools.chain.from_iterable(vs), np.int64, nv.sum()), nv)
-        vals = np.concatenate([np.zeros(0, complex), *map(np.ravel, mats)]).astype(complex)
+        labels, vals = self._rows or _block_entries(self.blocks)
+        vals = vals.astype(complex)
         if labels.size and labels.max() >> _KEY_BITS:
             raise CapabilityError(f"F table labels reach {labels.max()}; "
                                   f"the flat index holds labels below {1 << _KEY_BITS}")
@@ -205,6 +214,17 @@ class FSymbolTable:
         return self._values.get(f_keys(x, y, z, w, u, v))
 
 
+def _block_entries(blocks):
+    """The (x, y, z, w, u, v) rows and values of a block dict, block by block."""
+    import numpy as np
+    us, vs, mats = zip(*blocks.values()) if blocks else ((), (), ())
+    nu, nv = (np.fromiter(map(len, t), np.int64, len(t)) for t in (us, vs))
+    labels = _block_rows(np.array(list(blocks), dtype=np.int64).reshape(-1, 4),
+                         np.fromiter(itertools.chain.from_iterable(us), np.int64, nu.sum()), nu,
+                         np.fromiter(itertools.chain.from_iterable(vs), np.int64, nv.sum()), nv)
+    return labels, np.concatenate((np.zeros(0, complex), *mats), axis=None)
+
+
 def _block_rows(heads, us, nu, vs, nv):
     """The (x, y, z, w, u, v) rows of blocks whose (x, y, z, w) are `heads`:
     block j is the product of its nu[j] labels u and nv[j] labels v, which
@@ -213,6 +233,21 @@ def _block_rows(heads, us, nu, vs, nv):
     i, t = _ranges(np.zeros_like(nu), nu * nv)          # block, entry in block
     return np.column_stack((heads[i], us[(np.cumsum(nu) - nu)[i] + t // nv[i]],
                             vs[(np.cumsum(nv) - nv)[i] + t % nv[i]]))
+
+
+def f_rows(adm):
+    """The (x, y, z, w, u, v) rows, in key order, of the F table of the fusion
+    rules adm[a, b, c] = (N_{ab}^c != 0): block (x, y, z, w) is the full
+    product of its u in x*y with w in u*z and its v in y*z with w in x*v."""
+    import numpy as np
+    n = len(adm)
+    x, y, z, w = np.indices((n,) * 4).reshape(4, -1)
+    has_u = adm[x, y] & adm[:, z, w].T
+    has_v = adm[y, z] & adm[x, :, w]
+    keep = has_u.any(1) & has_v.any(1)
+    has_u, has_v = has_u[keep], has_v[keep]
+    return _block_rows(np.column_stack((x, y, z, w))[keep], np.nonzero(has_u)[1], has_u.sum(1),
+                       np.nonzero(has_v)[1], has_v.sum(1))
 
 
 def f_blocks(labels, vals) -> dict:
@@ -417,12 +452,10 @@ def _ranges(start, count):
     return i, np.arange(len(i)) + np.repeat(start - np.cumsum(count) + count, count)
 
 
-def _join(tup, ptr, p, rows, cols):
-    """Each row i of `tup` followed by columns `cols` of rows[ptr[p_i]:ptr[p_i + 1]],
-    one output row per match, in order."""
-    import numpy as np
-    i, t = _ranges(ptr[p], ptr[p + 1] - ptr[p])
-    return np.column_stack((tup[i], rows[t, cols]))
+def _expand(ptr, p):
+    """(i, t) for every row t in ptr[p[i]]:ptr[p[i] + 1], in order: the rows
+    joined to each p[i] through a `_fusion_csr` pointer array."""
+    return _ranges(ptr[p], ptr[p + 1] - ptr[p])
 
 
 def _cmul(x, y):
@@ -467,10 +500,11 @@ def _pentagon_residual(cat: CategoryData, f: FSymbolTable):
             = sum_{h in b x c} [F^{abc}_g]_{fh} [F^{ahd}_e]_{gk} [F^{bcd}_k]_{hl}.
 
     For each outer a the tuples are joined from the fusion triples in loop
-    order: (b, f, c, g) at once, then (d, e, l, k) in batches of about
-    `_PENTAGON_TERMS` terms of the sums, counted ahead from the fusion
-    rules.  Each sum over h stays in one batch, so no residual depends on
-    the batching.
+    order: (b, f, c, g) at once, with each [F^{abc}_g]_{fh} looked up once,
+    then (d, e, l, k) in batches of about `_PENTAGON_TERMS` terms of the
+    sums, counted ahead from the fusion rules.  Each sum over h stays in one
+    batch, so no residual depends on the batching.  Each label is one column,
+    gathered through the row it was joined from.
     """
     import numpy as np
     n, N = cat.n_objects, cat.rules.N
@@ -483,32 +517,42 @@ def _pentagon_residual(cat: CategoryData, f: FSymbolTable):
     at = f.at
     worst, where = 0.0, None
     for a in range(n):
-        S = trip[ptr1[a]:ptr1[a + 1], 1:]                                # b, f
-        S = _join(S, ptr1, S[:, 1], trip, slice(1, 3))                   # c, g
-        if not len(S):
+        b, fa = trip[ptr1[a]:ptr1[a + 1], 1:].T
+        i, t = _expand(ptr1, fa)                                         # c, g
+        if not len(i):
             continue
-        cum = np.cumsum(terms[S[:, 0], S[:, 2], S[:, 3]])
+        b, fa, c, g = b[i], fa[i], trip[t, 1], trip[t, 2]
+        # [F^{abc}_g]_{fh} of row p's h = trip[t, 2] at abc[base[p] + t]
+        cnt = ptr[b * n + c + 1] - ptr[b * n + c]
+        i, t = _ranges(ptr[b * n + c], cnt)
+        abc = at(f_keys(a, b, c, g, fa, 0)[i] + trip[t, 2])
+        base = np.cumsum(cnt) - cnt - ptr[b * n + c]
+        cum = np.cumsum(terms[b, c, g])
         cuts = np.searchsorted(cum, np.arange(_PENTAGON_TERMS, cum[-1], _PENTAGON_TERMS), "right")
-        for lo, hi in itertools.pairwise([0, *cuts.tolist(), len(S)]):
+        for lo, hi in itertools.pairwise([0, *cuts.tolist(), len(b)]):
             if lo == hi:
                 continue
-            T = _join(S[lo:hi], ptr1, S[lo:hi, 3], trip, slice(1, 3))               # d, e
-            T = _join(T, ptr, T[:, 2] * n + T[:, 4], trip, slice(2, 3))             # l
-            T = _join(T, ptr, T[:, 0] * n + T[:, 6], trip, slice(2, 3))             # k
-            T = T[N[a, T[:, 7], T[:, 5]] != 0]
-            b, fa, c, g, d, e, l, k = T.T
-            lhs = _cmul(at(f_keys(fa, c, d, e, g, l)), at(f_keys(a, b, l, e, fa, k)))
-            i, t = _ranges(ptr[b * n + c], ptr[b * n + c + 1] - ptr[b * n + c])
+            i, t = _expand(ptr1, g[lo:hi])                               # d, e
+            p, d, e = lo + i, trip[t, 1], trip[t, 2]
+            i, t = _expand(ptr, c[p] * n + d)                            # l
+            p, d, e, l = p[i], d[i], e[i], trip[t, 2]
+            i, t = _expand(ptr, b[p] * n + l)                            # k
+            p, d, e, l, k = p[i], d[i], e[i], l[i], trip[t, 2]
+            keep = N[a, k, e] != 0
+            p, d, e, l, k = p[keep], d[keep], e[keep], l[keep], k[keep]
+            bp, fp, cp, gp = b[p], fa[p], c[p], g[p]
+            lhs = _cmul(at(f_keys(fp, cp, d, e, gp, l)), at(f_keys(a, bp, l, e, fp, k)))
+            i, t = _expand(ptr, bp * n + cp)
             h = trip[t, 2]
             # each term's keys: the row's keys with h put in
-            prod = _cmul(_cmul(at(f_keys(a, b, c, g, fa, 0)[i] + h),
-                               at(f_keys(a, 0, d, e, g, k)[i] + (h << 4 * _KEY_BITS))),
-                         at(f_keys(b, c, d, k, 0, l)[i] + (h << _KEY_BITS)))
-            rhs = np.empty(len(T), dtype=complex)
-            rhs.real = np.bincount(i, prod.real, len(T))
-            rhs.imag = np.bincount(i, prod.imag, len(T))
+            prod = _cmul(_cmul(abc[base[p][i] + t],
+                               at(f_keys(a, 0, d, e, gp, k)[i] + (h << 4 * _KEY_BITS))),
+                         at(f_keys(bp, cp, d, k, 0, l)[i] + (h << _KEY_BITS)))
+            rhs = np.empty(len(p), dtype=complex)
+            rhs.real = np.bincount(i, prod.real, len(p))
+            rhs.imag = np.bincount(i, prod.imag, len(p))
             worst, where = _fold_worst(_cabs(lhs - rhs), worst, where, lambda m: tuple(
-                int(x) for x in (a, b[m], c[m], d[m], e[m], fa[m], g[m], l[m], k[m])))
+                int(x) for x in (a, bp[m], cp[m], d[m], e[m], fp[m], gp[m], l[m], k[m])))
     return worst, where
 
 
@@ -574,11 +618,13 @@ def _usefulid_residual(cat: CategoryData, f: FSymbolTable):
     ptr_b = np.searchsorted(by_b[:, 0], np.arange(n + 1))
     worst, where = 0.0, None
     for a in range(n):
-        T = sd[sd[:, 0] == a]                                          # a, b, c
-        T = _join(T, ptr_b, T[:, 1], by_b, slice(1, 3))                # G, A
-        T = _join(T, ptr, a * n + T[:, 3], trip, slice(2, 3))          # B
-        T = T[selfdual[T[:, 5]] & (N[T[:, 5], T[:, 4], T[:, 2]] != 0)]
-        _, b, c, G, A, B = T.T
+        b, c = sd[sd[:, 0] == a, 1:].T
+        i, t = _expand(ptr_b, b)                                       # G, A
+        b, c, G, A = b[i], c[i], by_b[t, 1], by_b[t, 2]
+        i, t = _expand(ptr, a * n + G)                                 # B
+        b, c, G, A, B = b[i], c[i], G[i], A[i], trip[t, 2]
+        keep = selfdual[B] & (N[B, A, c] != 0)
+        b, c, G, A, B = b[keep], c[keep], G[keep], A[keep], B[keep]
         e1 = np.sqrt(d[A] * d[G] / d[b]) * f.gather(a, G, A, c, B, b)
         e2 = np.sqrt(d[A] * d[B] / d[c]) * f.gather(B, a, b, A, G, c)
         e3 = np.sqrt(d[G] * d[B] / d[a]) * f.gather(G, b, c, B, A, a)
@@ -590,16 +636,35 @@ def _usefulid_residual(cat: CategoryData, f: FSymbolTable):
 
 def _unitarity_residual(f: FSymbolTable):
     """Max |U U^dagger - 1| over the blocks, in key order; a NaN counts as
-    infinite and a non-square block as 1."""
+    infinite and a non-square block as 1 at the first such block.
+
+    A block is a run of `flat` keys with equal (x, y, z, w); its side is its
+    count of u labels, and the blocks of one side are multiplied as one stack.
+    A block without entries has no keys, so it is not checked.
+    """
     import numpy as np
-    keys = sorted(f.blocks)
-    res = []
-    for key in keys:
-        us, vs, mat = f.blocks[key]
-        if len(us) != len(vs):
-            return 1.0, key
-        res.append(np.max(np.abs(mat @ mat.conj().T - np.eye(len(us)))) if len(us) else 0.0)
-    return _fold_worst(np.array(res), 0.0, None, lambda m: keys[m])
+    keys, vals = f.flat
+    if len(keys) == 1:
+        return 0.0, None
+    keys, vals = keys[:-1], vals[:-1]
+    head, uhead = keys >> 2 * _KEY_BITS, keys >> _KEY_BITS       # (x, y, z, w) and with u
+    first = np.r_[True, head[1:] != head[:-1]]
+    block, start = np.cumsum(first) - 1, np.flatnonzero(first)
+    size = np.bincount(block)
+    side = np.bincount(block, np.r_[True, uhead[1:] != uhead[:-1]]).astype(np.int64)
+
+    def tag(j):
+        return tuple(f_labels(keys[start[j], None])[0, :4].tolist())
+
+    skew = np.flatnonzero(side * side != size)
+    if len(skew):
+        return 1.0, tag(skew[0])
+    res = np.empty(len(size))
+    for s in np.flatnonzero(np.bincount(side)).tolist():
+        on = np.flatnonzero(side == s)
+        m = vals[start[on, None] + np.arange(s * s)].reshape(-1, s, s)
+        res[on] = np.abs(m @ m.conj().transpose(0, 2, 1) - np.eye(s)).max(axis=(1, 2))
+    return _fold_worst(res, 0.0, None, tag)
 
 
 def check_f_identities(cat: CategoryData, tol: float = 1e-10) -> VerificationReport:
@@ -785,7 +850,7 @@ def _f_table(rows, vals, n, rules) -> FSymbolTable:
     padded = _block_rows(s[start, :4], ucat % n, nu, vcat % n, nu)
     pvals = np.zeros(len(padded), dtype=complex)
     pvals[pos] = vals[order]
-    return FSymbolTable(lambda: f_blocks(padded, pvals))
+    return FSymbolTable.from_entries(padded, pvals)
 
 
 def category_from_json(text: str) -> CategoryData:

@@ -212,13 +212,24 @@ def _cmd_verify(args):
     return 0 if rep.passed else 1
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser, which refuses an argument it does not read itself,
+    so that the error names the command and its usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return args, extras
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="baxcat",
         description="Solve the conserved-current constraint for Boltzmann "
                     "weights from category data and verify the results.")
     ap.add_argument("--format", choices=["table", "json"], default="table")
-    sub = ap.add_subparsers(dest="command", required=True)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p_cat = sub.add_parser("catalog", help="list built-in families")
     p_cat.add_argument("action", choices=["list"])

@@ -114,18 +114,11 @@ def _su2k_entries(k: int):
     """The (x, y, z, w, u, v) rows of `su2k_f_blocks(k)`, in key order, and
     their values."""
     import numpy as np
-    from .category import _block_rows
+    from .category import f_rows
     n = k + 1
     A, B, C = np.ogrid[:n, :n, :n]
-    adm = ((A + B + C) % 2 == 0) & (abs(A - B) <= C) & (C <= np.minimum(A + B, 2 * k - A - B))
-    # the blocks (x, y, z, w) with their u and v channels, in key order
-    x, y, z, w = np.indices((n,) * 4).reshape(4, -1)
-    has_u = adm[x, y] & adm[:, z, w].T           # u in x*y, w in u*z
-    has_v = adm[y, z] & adm[x, :, w]             # v in y*z, w in x*v
-    keep = has_u.any(1) & has_v.any(1)
-    has_u, has_v = has_u[keep], has_v[keep]
-    rows = _block_rows(np.column_stack((x, y, z, w))[keep], np.nonzero(has_u)[1], has_u.sum(1),
-                       np.nonzero(has_v)[1], has_v.sum(1))
+    rows = f_rows(((A + B + C) % 2 == 0) & (abs(A - B) <= C)
+                  & (C <= np.minimum(A + B, 2 * k - A - B)))
     x, y, z, w, u, v = rows.T
 
     QF = np.array([_q_fact(m, k) for m in range(2 * k + 2)])

@@ -25,6 +25,8 @@ OPEN_ALL = "open_all"
 PERIODIC = "periodic"
 # largest basis a dense operator may act on: 256 MB per n x n complex matrix
 MAX_DENSE_DIM = 4096
+# basis sizes are counted exactly up to this, the first integer past the float range
+COUNT_CAP = 2 ** 1024
 
 
 class FusionTreeBasis:
@@ -119,20 +121,32 @@ def _reach(step):
     return lambda r: powers[r if r < start else start + (r - start) % (len(powers) - start)]
 
 
-def path_counts(cat: CategoryData, rho, L):
-    """Exact int vectors into[m][h], m = 0..L: the height paths of m steps that
-    end at h (the column sums of the m-th power of rho's fusion adjacency)."""
-    step = _adjacency(cat, rho, L).astype(object)
-    into = [np.ones(cat.n_objects, dtype=object)]
-    for _ in range(L):
-        into.append(into[-1] @ step)
-    return into
+def _power(step, L):
+    """The L-th power of the 0/1 matrix `step` by repeated squaring, each
+    entry min(exact int, COUNT_CAP): the entries are path counts, which no
+    product or sum lowers, so a capped entry stays capped and the others
+    stay exact."""
+    power, step = np.eye(len(step), dtype=object), step.astype(object)
+    while L:
+        if L & 1:
+            power = np.minimum(power @ step, COUNT_CAP)
+        L >>= 1
+        step = np.minimum(step @ step, COUNT_CAP) if L else step
+    return power
+
+
+def open_count(cat: CategoryData, rho, L) -> int:
+    """Size of the open basis of L steps, min(exact count, COUNT_CAP): the
+    height paths, the sum of the entries of the L-th power of rho's fusion
+    adjacency."""
+    return min(int(_power(_adjacency(cat, rho, L), L).sum()), COUNT_CAP)
 
 
 def periodic_count(cat: CategoryData, rho, L) -> int:
-    """Exact size of the periodic basis of L steps: the closed height paths,
-    the trace of the L-th power of rho's fusion adjacency."""
-    return int(np.linalg.matrix_power(_adjacency(cat, rho, L).astype(object), L).trace())
+    """Size of the periodic basis of L steps, min(exact count, COUNT_CAP):
+    the closed height paths, the trace of the L-th power of rho's fusion
+    adjacency."""
+    return min(int(_power(_adjacency(cat, rho, L), L).trace()), COUNT_CAP)
 
 
 def face_weights(basis: FusionTreeBasis, rho, coeffs) -> np.ndarray:

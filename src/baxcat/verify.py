@@ -26,7 +26,7 @@ from .errors import CapabilityError, DomainError, PoleError
 from .ratfunc import RationalFunction
 from .report import VerificationReport, fmt_complex
 from .treerep import (OPEN_ALL, PERIODIC, braid_op, check_dense, enumerate_trees,
-                      path_counts, periodic_count, projector_op, r_op,
+                      open_count, periodic_count, projector_op, r_op,
                       transfer_matrix)
 
 POLE_EXCLUSION = 1e-3
@@ -68,7 +68,7 @@ def _patch(cat, rho, L, P, what):
     so the identity holds on L strands exactly when it holds on the patch."""
     if L < P:
         raise DomainError(f"{what} needs at least {P} strands, got L = {L}")
-    dim = int(path_counts(cat, rho, L)[L].sum())
+    dim = open_count(cat, rho, L)
     if dim > sys.float_info.max:
         raise DomainError(f"L = {L} strands of {cat.display(rho)}: more states than a float holds")
     return enumerate_trees(cat, rho, P, OPEN_ALL), dim

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import baxcat as bx
-from baxcat.catalog import FAMILIES
+from baxcat.catalog import FAMILIES, _ty_fusion, ty_f_blocks
 from baxcat.category import FSymbolTable
 from baxcat.cli import main
 from baxcat.errors import DomainError
@@ -253,6 +253,43 @@ def test_array_racah_table_pickles_as_the_scalar_one(k):
     # same keys, label tuples, order and bits: the pickles are byte-identical
     assert pickle.dumps(su2k_f_blocks(k)) == pickle.dumps(scalar_su2k_f_blocks(k))
     assert all(not mat.flags.writeable for _, _, mat in su2k_f_blocks(k).values())
+
+
+def scalar_ty_f_blocks(M):
+    """The Z_M Tambara-Yamagami blocks one entry at a time."""
+    X = M
+    omega = np.exp(2j * np.pi / M)
+    lab = range(M + 1)
+    blocks = {}
+    for x, y, z in itertools.product(lab, repeat=3):
+        ws = set()
+        for u in _ty_fusion(x, y, M):
+            ws.update(_ty_fusion(u, z, M))
+        for w in sorted(ws):
+            us = tuple(u for u in _ty_fusion(x, y, M) if w in _ty_fusion(u, z, M))
+            vs = tuple(v for v in _ty_fusion(y, z, M) if w in _ty_fusion(x, v, M))
+            if not us or not vs:
+                continue
+            mat = np.zeros((len(us), len(vs)), dtype=complex)
+            for i, u in enumerate(us):
+                for j, v in enumerate(vs):
+                    if x == X and y == X and z == X:
+                        mat[i, j] = omega ** (-u * v) / math.sqrt(M)
+                    elif x != X and y == X and z != X:
+                        mat[i, j] = omega ** (x * z)
+                    elif x == X and y != X and z == X:
+                        mat[i, j] = omega ** (y * w)
+                    else:
+                        mat[i, j] = 1.0
+            mat.setflags(write=False)
+            blocks[(x, y, z, w)] = (us, vs, mat)
+    return blocks
+
+
+@pytest.mark.parametrize("M", range(2, 13))
+def test_array_ty_table_pickles_as_the_scalar_one(M):
+    assert pickle.dumps(ty_f_blocks(M)) == pickle.dumps(scalar_ty_f_blocks(M))
+    assert all(not mat.flags.writeable for _, _, mat in ty_f_blocks(M).values())
 
 
 @pytest.mark.parametrize("build, arg", [(bx.build_su2k, k) for k in range(1, 11)]

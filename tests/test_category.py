@@ -443,6 +443,25 @@ def test_imported_blocks_are_read_only_and_padded():
     assert f.block_value(1, 1, 1, 1, 0, 2) == 0
 
 
+def _no_blocks(labels, vals):
+    raise AssertionError("a block dict was built")
+
+
+@pytest.mark.parametrize("build, arg", [(bx.build_su2k, k) for k in range(1, 9)]
+                         + [(bx.build_minimal_A, k) for k in range(1, 8)]
+                         + [(bx.build_tambara_yamagami, M) for M in range(2, 11)])
+def test_import_indexes_the_rows_without_a_block_dict(build, arg, monkeypatch):
+    cat = build(arg)
+    text = bx.category_to_json(cat)
+    monkeypatch.setattr(bx.category, "f_blocks", _no_blocks)
+    back = bx.category_from_json(text)
+    assert bx.category_to_json(back) == text
+    assert bx.check_f_identities(back).passed
+    for got, want in zip(back.f.flat, cat.f.flat):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert "blocks" not in vars(back.f)
+
+
 @pytest.mark.parametrize("drop, missing", [("d", "quantum dimensions"), ("N", "fusion rules")])
 def test_check_f_identities_names_the_missing_datum(drop, missing):
     doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
@@ -548,19 +567,21 @@ def test_identity_checks_match_the_literal_loops(cat):
             assert residuals[where] > top - 1e-15
 
 
-@pytest.mark.parametrize("build, arg", [(bx.build_su2k, 4), (bx.build_tambara_yamagami, 5)])
-def test_identity_checks_find_the_literal_worst_tuple_of_a_corruption(build, arg):
-    cat = build(arg)
+def _corrupted(cat, seed, count):
+    """`count` copies of cat, each with one F entry scaled by 1.5 + 0.25j."""
     keys = sorted(cat.f.blocks)
-    rng = np.random.default_rng(11)
-    for _ in range(5):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
         key = keys[rng.integers(len(keys))]
         us, vs, mat = cat.f.blocks[key]
         mat = mat.copy()
         mat[rng.integers(len(us)), rng.integers(len(vs))] *= 1.5 + 0.25j
-        blocks = {**cat.f.blocks, key: (us, vs, mat)}
-        bad = bx.CategoryData(cat.name, cat.labels, cat.twists, rules=cat.rules,
-                              dims=cat.dims, f=FSymbolTable(blocks))
+        yield dataclasses.replace(cat, f=FSymbolTable({**cat.f.blocks, key: (us, vs, mat)}))
+
+
+@pytest.mark.parametrize("build, arg", [(bx.build_su2k, 4), (bx.build_tambara_yamagami, 5)])
+def test_identity_checks_find_the_literal_worst_tuple_of_a_corruption(build, arg):
+    for bad in _corrupted(build(arg), 11, 5):
         for literal, fast in ((literal_pentagon, _pentagon_residual),
                               (literal_rotation, _usefulid_residual)):
             worst, where = _first_worst(literal(bad))
@@ -584,6 +605,49 @@ def test_pentagon_batches_split_inside_one_label_and_match_the_literal_loop(
         for terms in (3, 40, 1 << 12):
             monkeypatch.setattr(bx.category, "_PENTAGON_TERMS", terms)
             assert _pentagon_residual(table, table.f) == want
+
+
+def literal_unitarity(f):
+    """(max |U U^dagger - 1|, its block) with one product per block, in key
+    order; a NaN counts as infinite and the first non-square block as 1."""
+    keys = sorted(f.blocks)
+    res = []
+    for key in keys:
+        us, vs, mat = f.blocks[key]
+        if len(us) != len(vs):
+            return 1.0, key
+        res.append(np.max(np.abs(mat @ mat.conj().T - np.eye(len(us)))) if len(us) else 0.0)
+    if not res:
+        return 0.0, None
+    m = int(np.argmax(res))                     # the first NaN, if there is one
+    worst = math.inf if math.isnan(res[m]) else float(res[m])
+    return (worst, keys[m]) if worst > 0 else (0.0, None)
+
+
+def _unitarity_cases():
+    for cat in _ORACLE_CASES:
+        yield pytest.param(cat.f, id=cat.name)
+    for cat in (bx.build_su2k(4), bx.build_tambara_yamagami(5), bx.build_minimal_A(6)):
+        for j, bad in enumerate(_corrupted(cat, 3, 3)):
+            yield pytest.param(bad.f, id=f"{cat.name}-corrupt{j}")
+    for build, arg in ((bx.build_su2k, 2), (bx.build_tambara_yamagami, 3)):
+        f = build(arg).f
+        key = sorted(f.blocks)[5]
+        us, vs, mat = f.blocks[key]
+        mat = mat.copy()
+        mat[-1, 0] = math.nan
+        yield pytest.param(FSymbolTable({**f.blocks, key: (us, vs, mat)}), id=f"{key}-nan")
+        key = min(k for k, (us, vs, _) in f.blocks.items() if len(vs) > 1)
+        us, vs, mat = f.blocks[key]
+        yield pytest.param(FSymbolTable({**f.blocks, key: (us[:1], vs, mat[:1])}),
+                           id=f"{key}-non-square")
+    yield pytest.param(FSymbolTable({}), id="empty")
+
+
+@pytest.mark.parametrize("f", _unitarity_cases())
+def test_unitarity_matches_the_literal_loop_bit_for_bit(f):
+    want = literal_unitarity(f)
+    assert _unitarity_residual(f) == want
 
 
 def test_unitarity_counts_a_non_square_block_as_1():

@@ -187,21 +187,32 @@ UNREAD = {
     "loop": [["--family", "su2"], ["--level", "3"], ["--M", "4"], ["--n", "5"], ["--m", "2"],
              ["--export-category", "{path}"], ["--rho", "1/2"], ["--phi", "1"], ["--L", "5"]],
 }
-REFUSED = [pytest.param(["verify", check, *VERIFY_BASE[check], *flag], id=f"{check}{flag[0]}")
+# each argv with the error line it must end with
+REFUSED = [pytest.param(["verify", check, *VERIFY_BASE[check], *flag],
+                        f"baxcat verify {check}: error: unrecognized arguments: {' '.join(flag)}",
+                        id=f"{check}{flag[0]}")
            for check, flags in UNREAD.items() for flag in flags] + [
-    pytest.param(["classify", "--family", "su2", "--level", "3", "--M", "7"], id="classify--M"),
-    pytest.param(["baxterize", *SU2_3, "--n", "5"], id="baxterize--n"),
-    pytest.param(["verify", "current", *SU2_3, "--m", "2"], id="current--m"),
-    pytest.param(["verify", "ybe", *SU2_3[:-2]], id="ybe-no-phi"),
+    pytest.param(["classify", "--family", "su2", "--level", "3", "--M", "7"],
+                 "error: family 'su2' takes no parameter 'M' (--M)", id="classify--M"),
+    pytest.param(["baxterize", *SU2_3, "--n", "5"],
+                 "error: family 'su2' takes no parameter 'n' (--n)", id="baxterize--n"),
+    pytest.param(["verify", "current", *SU2_3, "--m", "2"],
+                 "error: family 'su2' takes no parameter 'm' (--m)", id="current--m"),
+    pytest.param(["verify", "ybe", *SU2_3[:-2]],
+                 "baxcat verify ybe: error: the following arguments are required: --phi",
+                 id="ybe-no-phi"),
 ]
 
 
-@pytest.mark.parametrize("args", REFUSED)
-def test_a_flag_the_command_does_not_read_exits_2(args, tmp_path):
-    # the parser of each command and check declares only the flags it reads, and
-    # build_family refuses a family flag of another family
-    rc, out, err = run_cli([a.replace("{path}", str(tmp_path / "cat.json")) for a in args])
+@pytest.mark.parametrize("args, error", REFUSED)
+def test_a_flag_the_command_does_not_read_exits_2(args, error, tmp_path):
+    # the parser of each command and check declares only the flags it reads and
+    # names itself when it refuses one, and build_family refuses a family flag
+    # of another family
+    path = str(tmp_path / "cat.json")
+    rc, out, err = run_cli([a.replace("{path}", path) for a in args])
     assert (rc, out) == (2, "")
+    assert err.endswith(error.replace("{path}", path) + "\n")
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
     assert not (tmp_path / "cat.json").exists()

@@ -2,6 +2,7 @@
 
 import cmath
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import baxcat as bx
 from baxcat import treerep
 from baxcat.errors import CapabilityError, DomainError, PoleError
 from baxcat.treerep import (OPEN_ALL, PERIODIC, braid_op, enumerate_trees,
-                            face_weights, path_counts, periodic_count, projector_op,
+                            face_weights, open_count, periodic_count, projector_op,
                             r_op, transfer_matrix)
 
 
@@ -108,15 +109,24 @@ def test_enumeration_matches_the_literal_search(cat, rho):
     (bx.build_su2k(3), 1), (bx.build_su2k(4), 2), (bx.build_minimal_A(5), 1),
     (bx.build_tambara_yamagami(3), 3)], ids=["su2_3", "su2_4-spin1", "minimal_5", "ty_3-X"])
 def test_path_counts_count_the_open_basis(cat, rho):
-    n = cat.n_objects
-    into = path_counts(cat, rho, 7)
-    assert len(into) == 8
+    # the counts reached by L steps of the path vector, exact ints up to the cap
+    step = adjacency_matrix(cat, rho).astype(int).astype(object)
+    into = [np.ones(cat.n_objects, dtype=object)]
+    for _ in range(2000):
+        into.append(into[-1] @ step)
     for L in range(8):
         H = enumerate_trees(cat, rho, L, OPEN_ALL).heights
-        assert into[L].tolist() == np.bincount(H[:, -1], minlength=n).tolist()
-    # exact ints past the float range
-    into = path_counts(cat, rho, 2000)
-    assert all(type(x) is int for x in into[-1]) and sum(into[-1]) > 10 ** 310
+        assert open_count(cat, rho, L) == sum(into[L]) == len(H)
+    # the cap lies past the float range: counts below it stay exact, counts above read as it
+    assert treerep.COUNT_CAP > sys.float_info.max
+    over = next(L for L, v in enumerate(into) if sum(v) > treerep.COUNT_CAP)
+    for L in (over - 1, over, 2000):
+        count = open_count(cat, rho, L)
+        assert type(count) is int and count == min(sum(into[L]), treerep.COUNT_CAP)
+    for L in range(12):
+        want = np.linalg.matrix_power(step, L).trace()
+        assert periodic_count(cat, rho, L) == want
+    assert periodic_count(cat, rho, 10 ** 6) == treerep.COUNT_CAP
 
 
 def test_periodic_enumeration_keeps_only_closable_prefixes():
@@ -129,7 +139,7 @@ def test_periodic_enumeration_keeps_only_closable_prefixes():
 def test_enumerate_requires_rules():
     so5 = bx.build_family("so", n=5, k=2)
     for count in (lambda: enumerate_trees(so5, 3, 4, OPEN_ALL),
-                  lambda: path_counts(so5, 3, 4), lambda: periodic_count(so5, 3, 4)):
+                  lambda: open_count(so5, 3, 4), lambda: periodic_count(so5, 3, 4)):
         with pytest.raises(CapabilityError):
             count()
 

@@ -400,6 +400,11 @@ def test_patch_checks_refuse_too_few_or_too_many_strands(check, strands):
     # 1.6^2000 height states: the path counts do not fit in a float
     with pytest.raises(DomainError, match="L = 2000 strands of 1/2: more states than a float holds"):
         check(cat, sol, 2000)
+    # the count is capped above the float range, so a huge L is refused at once
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="L = 1000000 strands of 1/2: more states than a float"):
+        check(cat, sol, 10 ** 6)
+    assert time.perf_counter() - start < 1
 
 
 # each check's patch: the fewest strands on which it is reported
