@@ -371,21 +371,12 @@ class ClassifyRow:
 
 def classify_pairs(cat: CategoryData):
     """Verdict of solve_central for every simple rho and admissible phi != 0."""
-    rows = []
     if cat.rules is not None:
-        rhos = range(cat.n_objects)
+        pairs = [(rho, phi) for rho in range(cat.n_objects) for phi in range(1, cat.n_objects)
+                 if cat.rules.admits(phi, rho, rho)]
     else:
-        rhos = [cat.rho_declared]
+        pairs = [(cat.rho_declared, phi) for phi in sorted(cat.tp_adjacency)]
     memo = _SolverMemo(cat)
-    for rho in rhos:
-        if cat.rules is not None:
-            phis = [p for p in range(1, cat.n_objects) if cat.rules.admits(p, rho, rho)]
-        else:
-            phis = sorted(cat.tp_adjacency)
-        for phi in phis:
-            sol = solve_central(cat, rho, phi, _memo=memo)
-            g = sol.graph
-            ncyc = len(g.edges) - (len(g.vertices) - len(sol.components))
-            rows.append(ClassifyRow(rho, phi, sol.verdict,
-                                    len(g.vertices), len(g.edges), ncyc))
-    return rows
+    sols = (solve_central(cat, rho, phi, _memo=memo) for rho, phi in pairs)
+    return [ClassifyRow(s.rho, s.phi, s.verdict, len(s.graph.vertices), len(s.graph.edges),
+                        len(s.cycles)) for s in sols]

@@ -9,6 +9,12 @@ F tables are built on the first F read (`CategoryData.f.flat`, its lookups or
 `.blocks`): solving and classifying use twist data only, so they never pay
 for one, nor for numpy, which only the F builders import.
 
+Each fusion rule is stated once.  su(2)_k and A_{k+1} share one builder,
+`_su2_category`, whose one scan of `sixj.su2_admissible` gives the fusion
+rules and the sign table; `su2k_f_blocks` calls the same predicate on label
+arrays.  `_ty_rules` is the TY fusion table that the build, its signs and
+`ty_f_blocks` all read.
+
 `FAMILIES` is the one registry of them: `build_family`, `catalog list` and the
 command-line family flags and their bounds are all read from it.
 """
@@ -25,7 +31,7 @@ from typing import Callable
 from .category import (CategoryData, FSymbolTable, FusionRules, ObjectLabel,
                        QuantumDims, TwistData, f_blocks, f_rows)
 from .errors import DomainError
-from .sixj import su2_admissible, su2k_f_blocks
+from .sixj import su2_admissible, su2_qdim, su2k_f_blocks
 
 
 @dataclass(frozen=True)
@@ -51,56 +57,36 @@ def spin_display(A: int) -> str:
     return str(A // 2) if A % 2 == 0 else f"{A}/2"
 
 
-def _su2_rules(k: int) -> FusionRules:
+def _su2_category(name: str, k: int, Delta, sign) -> CategoryData:
+    """su(2)_k fusion, dimensions and F with the spins Delta(A) and the signs
+    nu_a^{bc} = sign(a, b, c), read off one scan of the admissible triples;
+    `name` is formatted with k and the label count n once k is checked."""
+    LEVEL.check(k)
     n = k + 1
-    return FusionRules.from_triples(n, (t for t in itertools.product(range(n), repeat=3)
-                                        if su2_admissible(*t, k)), range(n))
-
-
-def _su2_dims(k: int) -> QuantumDims:
-    s0 = math.sin(math.pi / (k + 2))
-    return QuantumDims((1.0,) + tuple(math.sin((A + 1) * math.pi / (k + 2)) / s0
-                                      for A in range(1, k + 1)))
-
-
-def _su2_nu(k: int) -> dict:
-    nu = {}
-    for a, b, c in itertools.product(range(k + 1), repeat=3):
-        if su2_admissible(b, c, a, k):
-            nu[(a, b, c)] = -1 if ((b + c - a) // 2) % 2 else 1
-    return nu
+    triples = [t for t in itertools.product(range(n), repeat=3) if su2_admissible(*t, k)]
+    return CategoryData(
+        name=name.format(k=k, n=n),
+        labels=tuple(ObjectLabel(A, spin_display(A)) for A in range(n)),
+        # the rule is symmetric, so N_{bc}^a != 0 on exactly these (a, b, c)
+        twists=TwistData(tuple(map(Delta, range(n))), {t: sign(*t) for t in triples}),
+        rules=FusionRules.from_triples(n, triples, range(n)),
+        dims=QuantumDims(tuple(su2_qdim(A, k) for A in range(n))),
+        f=FSymbolTable(lambda: su2k_f_blocks(k)),
+    )
 
 
 def build_su2k(k: int) -> CategoryData:
-    """su(2)_k: spins 0..k/2, truncated fusion, Delta_a = a(a+1)/(k+2)."""
-    LEVEL.check(k)
-    labels = tuple(ObjectLabel(A, spin_display(A)) for A in range(k + 1))
-    Delta = tuple(Fraction(A * (A + 2), 4 * (k + 2)) for A in range(k + 1))
-    return CategoryData(
-        name=f"su2_k{k}",
-        labels=labels,
-        twists=TwistData(Delta, _su2_nu(k)),
-        rules=_su2_rules(k),
-        dims=_su2_dims(k),
-        f=FSymbolTable(lambda: su2k_f_blocks(k)),
-    )
+    """su(2)_k: spins 0..k/2, truncated fusion, Delta_a = a(a+1)/(k+2),
+    nu_a^{bc} = (-1)^{(b+c-a)/2}."""
+    return _su2_category("su2_k{k}", k, lambda A: Fraction(A * (A + 2), 4 * (k + 2)),
+                         lambda a, b, c: -1 if ((b + c - a) // 2) % 2 else 1)
 
 
 def build_minimal_A(k: int) -> CategoryData:
     """A_{k+1}: same fusion/dims/F as su(2)_k, minimal-model spins, all nu=+1."""
-    LEVEL.check(k)
-    labels = tuple(ObjectLabel(A, spin_display(A)) for A in range(k + 1))
-    Delta = tuple(Fraction(A * A, 4) - Fraction(A * (A + 2), 4 * (k + 2))
-                  for A in range(k + 1))
-    nu = {key: 1 for key in _su2_nu(k)}
-    return CategoryData(
-        name=f"minimalA_{k + 1}",
-        labels=labels,
-        twists=TwistData(Delta, nu),
-        rules=_su2_rules(k),
-        dims=_su2_dims(k),
-        f=FSymbolTable(lambda: su2k_f_blocks(k)),
-    )
+    return _su2_category("minimalA_{n}", k,
+                         lambda A: Fraction(A * A, 4) - Fraction(A * (A + 2), 4 * (k + 2)),
+                         lambda a, b, c: 1)
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +102,14 @@ def _ty_fusion(a, b, M):
     return [(a + b) % M]
 
 
+def _ty_rules(M: int) -> FusionRules:
+    """The TY_M fusion rules of `_ty_fusion`; X (label M) is self-dual."""
+    n = M + 1
+    return FusionRules.from_triples(n, ((a, b, c) for a, b in itertools.product(range(n), repeat=2)
+                                        for c in _ty_fusion(a, b, M)),
+                                    tuple((M - a) % M for a in range(M)) + (M,))
+
+
 @lru_cache(maxsize=None)
 def ty_f_blocks(M: int) -> dict:
     """Z_M Tambara-Yamagami F blocks, bicharacter omega^{ab}, FS indicator +1.
@@ -128,10 +122,7 @@ def ty_f_blocks(M: int) -> dict:
     import numpy as np
     X = M
     omega = np.exp(2j * np.pi / M)
-    adm = np.zeros((M + 1,) * 3, dtype=bool)
-    for a, b in itertools.product(range(M + 1), repeat=2):
-        adm[a, b, _ty_fusion(a, b, M)] = True
-    rows = f_rows(adm)
+    rows = f_rows(_ty_rules(M).N != 0)
     x, y, z, w, u, v = rows.T
     xxx = (x == X) & (y == X) & (z == X)
     vals = np.ones(len(rows), dtype=complex)
@@ -151,18 +142,13 @@ def build_tambara_yamagami(M: int) -> CategoryData:
     in the export notes.
     """
     TY_ORDER.check(M)
-    X = M
-    n = M + 1
-    labels = tuple(ObjectLabel(a, str(a)) for a in range(M)) + (ObjectLabel(X, "X"),)
-    dual = tuple((M - a) % M for a in range(M)) + (X,)
-    rules = FusionRules.from_triples(n, ((a, b, c) for a, b in itertools.product(range(n), repeat=2)
-                                         for c in _ty_fusion(a, b, M)), dual)
+    rules = _ty_rules(M)
     Delta = tuple(Fraction(a * (M - a), M) for a in range(M)) + (Fraction(1, 16),)
-    nu = {(a, b, c): 1 for a, b, c in itertools.product(range(n), repeat=3)
-          if rules.admits(b, c, a)}
+    nu = {(a, b, c): 1 for b, row in enumerate(rules.products) for c, cs in enumerate(row)
+          for a in cs}
     return CategoryData(
         name=f"ty_{M}",
-        labels=labels,
+        labels=tuple(ObjectLabel(a, str(a)) for a in range(M)) + (ObjectLabel(M, "X"),),
         twists=TwistData(Delta, nu),
         rules=rules,
         dims=QuantumDims((1.0,) * M + (math.sqrt(M),)),

@@ -308,9 +308,6 @@ class CategoryData:
     def representable(self) -> bool:
         return self.baxterisable and self.f is not None
 
-    def capabilities(self) -> dict:
-        return {"baxterisable": self.baxterisable, "representable": self.representable}
-
     def check_label(self, a) -> int:
         try:
             label = operator.index(a)       # an int, or an integer type such as numpy's
@@ -765,10 +762,12 @@ def _check_rows(key, rows, n, width, n_labels):
     return rows
 
 
-def _check_labels(key, vals, n):
-    for i, a in enumerate(vals):
-        if not _is_label(a, n):
-            raise DomainError(f"category JSON {key}[{i}] = {a!r}: label not in 0..{n - 1}")
+def _check_each(key, vals, ok, want):
+    """`vals`, each passing `ok`; the first that fails raises DomainError
+    naming it and saying what was wanted."""
+    for i, v in enumerate(vals):
+        if not ok(v):
+            raise DomainError(f"category JSON {key}[{i}] = {v!r}: {want}")
     return vals
 
 
@@ -783,10 +782,14 @@ def _convert(key, vals, fn, what):
     return out
 
 
-def _finite(x) -> float:
+def _not_bool(x):
     if isinstance(x, bool):             # JSON true and false are not numbers
         raise TypeError(f"{x} is not a number")
-    x = float(x)
+    return x
+
+
+def _finite(x) -> float:
+    x = float(_not_bool(x))
     if not math.isfinite(x):
         raise ValueError(f"{x} is not finite")
     return x
@@ -864,14 +867,13 @@ def category_from_json(text: str) -> CategoryData:
     if schema != _SCHEMA:
         raise DomainError(f"unknown category schema {schema!r}")
     name = _doc_get(doc, "name", str)
-    texts = _doc_get(doc, "labels")
-    for i, s in enumerate(texts):
-        if not isinstance(s, str):
-            raise DomainError(f"category JSON labels[{i}] = {s!r}: expected a string")
+    string = (lambda s: isinstance(s, str), "expected a string")
+    texts = _check_each("labels", _doc_get(doc, "labels"), *string)
     labels = tuple(ObjectLabel(i, s) for i, s in enumerate(texts))
     n = len(labels)
+    label = (lambda a: _is_label(a, n), f"label not in 0..{n - 1}")
     Delta = _convert("Delta", _doc_get(doc, "Delta", length=n),
-                     lambda s: None if s is None else Fraction(s), "a fraction")
+                     lambda s: None if s is None else Fraction(_not_bool(s)), "a fraction")
     nu = {}
     for i, (a, b, c, s) in enumerate(_check_rows("nu", _doc_get(doc, "nu"), n, 4, 3)):
         if type(s) is not int or abs(s) != 1:
@@ -881,7 +883,7 @@ def category_from_json(text: str) -> CategoryData:
     rules = None
     if "N" in doc:
         triples = _check_rows("N", _doc_get(doc, "N"), n, 3, 3)
-        dual = _check_labels("dual", _doc_get(doc, "dual", length=n), n)
+        dual = _check_each("dual", _doc_get(doc, "dual", length=n), *label)
         rules = FusionRules.from_triples(n, triples, dual)
     dims = None
     if "d" in doc:
@@ -895,7 +897,7 @@ def category_from_json(text: str) -> CategoryData:
         f = _f_table(rows, vals, n, rules)
     channels = tp = None
     if "channels" in doc:
-        channels = tuple(_check_labels("channels", _doc_get(doc, "channels"), n))
+        channels = tuple(_check_each("channels", _doc_get(doc, "channels"), *label))
     rho = doc.get("rho")
     if rho is not None and not _is_label(rho, n):
         raise DomainError(f"category JSON 'rho' = {rho!r}: label not in 0..{n - 1}")
@@ -903,10 +905,11 @@ def category_from_json(text: str) -> CategoryData:
         tp = {}
         for phi, edges in _doc_get(doc, "tp_adjacency", dict).items():
             key = f"tp_adjacency[{phi!r}]"
-            if not phi.isdigit() or not _is_label(int(phi), n) or not isinstance(edges, list):
+            canonical = phi.isascii() and phi.isdigit() and phi == str(int(phi))
+            if not canonical or not _is_label(int(phi), n) or not isinstance(edges, list):
                 raise DomainError(f"category JSON {key} = {edges!r}: expected a label "
                                   "and a list of edges")
             tp[int(phi)] = tuple(tuple(e) for e in _check_rows(key, edges, n, 2, 2))
+    notes = _check_each("notes", _doc_get(doc, "notes"), *string) if "notes" in doc else ()
     return CategoryData(name, labels, twists, rules=rules, dims=dims, f=f,
-                        channels=channels, rho_declared=rho, tp_adjacency=tp,
-                        notes=tuple(doc.get("notes", ())))
+                        channels=channels, rho_declared=rho, tp_adjacency=tp, notes=tuple(notes))

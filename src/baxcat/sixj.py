@@ -28,10 +28,10 @@ def _q_fact(n: int, k: int) -> float:
     return out
 
 
-def su2_admissible(A: int, B: int, C: int, k: int) -> bool:
-    if (A + B + C) % 2:
-        return False
-    return abs(A - B) <= C <= min(A + B, 2 * k - A - B)
+def su2_admissible(A, B, C, k: int):
+    """The su(2)_k fusion rule N_{AB}^C != 0, on ints or on broadcasting
+    label arrays."""
+    return ((A + B + C) % 2 == 0) & (abs(A - B) <= C) & (C <= A + B) & (A + B + C <= 2 * k)
 
 
 def su2_qdim(A: int, k: int) -> float:
@@ -116,9 +116,7 @@ def _su2k_entries(k: int):
     import numpy as np
     from .category import f_rows
     n = k + 1
-    A, B, C = np.ogrid[:n, :n, :n]
-    rows = f_rows(((A + B + C) % 2 == 0) & (abs(A - B) <= C)
-                  & (C <= np.minimum(A + B, 2 * k - A - B)))
+    rows = f_rows(su2_admissible(*np.ogrid[:n, :n, :n], k))
     x, y, z, w, u, v = rows.T
 
     QF = np.array([_q_fact(m, k) for m in range(2 * k + 2)])

@@ -356,6 +356,20 @@ def test_classify_twist_only():
     assert all(r.verdict == TREE_UNIQUE for r in rows)
 
 
+@pytest.mark.parametrize("family, params", [
+    *(("su2", {"k": k}) for k in range(1, 13)), *(("minimal", {"k": k}) for k in range(1, 13)),
+    *(("ty", {"M": M}) for M in range(2, 13)),
+    ("so", {"n": 5, "k": 2}), ("sp", {"m": 2, "k": 3}), ("g2", {"k": 1})])
+def test_classify_rows_count_the_cycles_the_solver_checks(family, params):
+    cat = bx.build_family(family, **params)
+    for row in bx.classify_pairs(cat):
+        sol = bx.solve_central(cat, row.rho, row.phi)
+        g = sol.graph
+        assert row.n_cycles == len(sol.cycles) == len(g.edges) - len(g.vertices) + len(sol.components)
+        assert (row.verdict, row.n_vertices, row.n_edges) == (sol.verdict, len(g.vertices),
+                                                              len(g.edges))
+
+
 def test_solution_json_deterministic():
     sol1 = bx.solve_central(bx.build_tambara_yamagami(5), 5, 1)
     sol2 = bx.solve_central(bx.build_tambara_yamagami(5), 5, 1)

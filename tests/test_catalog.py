@@ -61,6 +61,54 @@ def test_minimal_A_shares_fusion_and_dims():
     assert su2.twists.Delta != mini.twists.Delta
 
 
+def literal_su2_admissible(a, b, c, k):
+    """The su(2)_k fusion rule as the Clebsch-Gordan range, truncated at level k."""
+    return c in range(abs(a - b), min(a + b, 2 * k - a - b) + 1, 2)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_su2_admissible_reads_alike_on_arrays_and_ints(k):
+    A, B, C = np.ogrid[:k + 1, :k + 1, :k + 1]
+    arr = su2_admissible(A, B, C, k)
+    assert arr.dtype == bool and arr.shape == (k + 1,) * 3
+    for a, b, c in itertools.product(range(k + 1), repeat=3):
+        scalar = su2_admissible(a, b, c, k)
+        assert type(scalar) is bool and scalar == arr[a, b, c] == literal_su2_admissible(a, b, c, k)
+
+
+def literal_family_data(family, p):
+    """(products, nu, dims) of a built-in family: su(2) from the n^3 scan of
+    the fusion rule with the closed-form sign and the sine formula, TY from
+    `_ty_fusion`."""
+    n = p + 1
+    labels = range(n)
+    if family == "ty":
+        fuse = lambda a, b: sorted(_ty_fusion(a, b, p))
+        sign = lambda a, b, c: 1
+        dims = (1.0,) * p + (math.sqrt(p),)
+    else:
+        fuse = lambda a, b: [c for c in labels if literal_su2_admissible(a, b, c, p)]
+        sign = ((lambda a, b, c: 1) if family == "minimal"
+                else (lambda a, b, c: (-1) ** ((b + c - a) // 2)))
+        dims = tuple(math.sin((A + 1) * math.pi / (p + 2)) / math.sin(math.pi / (p + 2))
+                     for A in labels)
+    products = tuple(tuple(tuple(fuse(a, b)) for b in labels) for a in labels)
+    nu = {(a, b, c): sign(a, b, c) for a, b, c in itertools.product(labels, repeat=3)
+          if a in fuse(b, c)}
+    return products, nu, dims
+
+
+@pytest.mark.parametrize("family, p", [(f, k) for f in ("su2", "minimal") for k in range(1, 13)]
+                         + [("ty", M) for M in range(2, 13)])
+def test_built_rules_signs_and_dims_match_the_literal_data(family, p):
+    cat = bx.build_family(family, **{"M" if family == "ty" else "k": p})
+    products, nu, dims = literal_family_data(family, p)
+    assert cat.rules.products == products
+    assert cat.twists.nu == nu and all(type(s) is int for s in cat.twists.nu.values())
+    # equal floats, bit for bit: the dims are exported with 17 digits
+    assert [x.hex() for x in cat.dims.values] == [x.hex() for x in dims]
+
+
 def test_cached_f_arrays_are_read_only():
     # the tables are cached per level and shared, so no caller may edit them
     for cat in (bx.build_su2k(4), bx.build_tambara_yamagami(5)):

@@ -273,7 +273,6 @@ def test_capability_flags():
     assert su2.baxterisable and su2.representable
     so5 = bx.build_family("so", n=5, k=2)
     assert so5.baxterisable and not so5.representable
-    assert so5.capabilities() == {"baxterisable": True, "representable": False}
 
 
 def test_check_f_identities_requires_f():
@@ -394,6 +393,14 @@ def _set(key, i, val):
     (lambda doc: doc.update(channels=[0, 7]), "channels[1]"),
     (lambda doc: doc.update(tp_adjacency={"1": [[0, 2], [2, 3]]}), "tp_adjacency['1'][1]"),
     (lambda doc: doc.update(tp_adjacency={"9": []}), "tp_adjacency['9']"),
+    (lambda doc: doc.update(tp_adjacency={"\u00b2": []}), "tp_adjacency['\u00b2']"),
+    # "01" would read as label 1 and replace the edges given under "1"
+    (lambda doc: doc.update(tp_adjacency={"1": [[0, 2]], "01": []}), "tp_adjacency['01']"),
+    (_set("Delta", 1, True), "Delta[1]"),
+    (lambda doc: doc.update(notes=5), "'notes'"),
+    (lambda doc: doc.update(notes=None), "'notes'"),
+    (lambda doc: doc.update(notes="abc"), "'notes'"),
+    (lambda doc: doc.update(notes=["a note", 5]), "notes[1]"),
     (lambda doc: doc["F"].insert(6, doc["F"][5]), "F[6]"),
     # the first row at fault, not the first key in sorted order
     (lambda doc: doc["F"].extend([doc["F"][30], doc["F"][2], doc["F"][2]]), "F[36] = [2, "),
@@ -409,7 +416,9 @@ def _set(key, i, val):
         "N-negative", "short-N", "N-not-list", "short-dual", "dual-label", "bad-d",
         "d-inf", "d-negative", "d-zero", "short-d", "short-F", "F-label", "F-value", "F-nan",
         "F-string-pair", "F-bool", "d-bool",
-        "F-not-list", "rho-label", "channels-label", "tp-edge-label", "tp-phi-label", "F-twice",
+        "F-not-list", "rho-label", "channels-label", "tp-edge-label", "tp-phi-label",
+        "tp-phi-superscript", "tp-phi-leading-zero", "Delta-bool", "notes-number", "notes-null",
+        "notes-string", "notes-entry", "F-twice",
         "F-twice-late", "F-not-square", "F-outside-fusion", "F-outside-fusion-v"])
 def test_from_json_rejects_malformed(edit, where, error):
     with pytest.raises(error, match=re.escape(where)):
