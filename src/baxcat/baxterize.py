@@ -88,10 +88,8 @@ class AmplitudeSolution:
         return self.graph.phi
 
     def poles(self):
-        out = []
-        for ch in self.channels:
-            out.extend(self.funcs[ch].poles())
-        return out
+        """The roots -1/x of every channel's edge factors (1 + x mu)."""
+        return [p for ch in self.channels for p in self.funcs[ch].poles()]
 
     def to_dict(self) -> dict:
         return {

@@ -44,7 +44,7 @@ class Param:
     minimum: int
 
     def check(self, value) -> None:
-        if not isinstance(value, int) or value < self.minimum:
+        if isinstance(value, bool) or not isinstance(value, int) or value < self.minimum:
             raise DomainError(f"parameter {self.kwarg} ({self.flag}) must be an "
                               f"integer >= {self.minimum}, got {value!r}")
 

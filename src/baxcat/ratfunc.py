@@ -1,8 +1,9 @@
 """Rational functions of the spectral parameter as complex coefficient tuples.
 
 Degrees stay tiny (bounded by the channel count), so convolution products
-and Horner's rule on Python complexes suffice; no symbolic engine, and numpy
-only to find poles.
+and Horner's rule on Python complexes suffice; no symbolic engine and no
+numpy: a product of Moebius factors (x + mu)/(1 + x mu) carries the roots
+-1/x of its denominator factors, so its poles are never solved for.
 """
 
 from __future__ import annotations
@@ -45,11 +46,12 @@ def _horner(desc: list, mu: complex) -> complex:
 
 
 class RationalFunction:
-    """num(mu)/den(mu), coefficients ascending in mu."""
+    """num(mu)/den(mu), coefficients ascending in mu, and the roots of den."""
 
-    def __init__(self, num, den):
+    def __init__(self, num, den, poles=()):
         self.num = _trim(num)
         self.den = _trim(den)
+        self._poles = tuple(poles)
         self._den_scale = max(abs(z) for z in self.den)
         if self._den_scale == 0.0:
             raise ZeroDivisionError("zero denominator polynomial")
@@ -68,7 +70,7 @@ class RationalFunction:
             return RationalFunction([1.0], [1.0])
         if abs(x + 1.0) < 1e-14:
             return RationalFunction([-1.0], [1.0])
-        return RationalFunction([x, 1.0], [1.0, x])
+        return RationalFunction([x, 1.0], [1.0, x], (-1 / x,))
 
     @property
     def degree(self) -> int:
@@ -76,7 +78,7 @@ class RationalFunction:
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
         return RationalFunction(_convolve(self.num, other.num),
-                                _convolve(self.den, other.den))
+                                _convolve(self.den, other.den), self._poles + other._poles)
 
     def evaluate(self, mu: complex, pole_tol: float = 1e-12) -> complex:
         mu = complex(mu)
@@ -95,11 +97,9 @@ class RationalFunction:
                               f"(degree {self.degree})")
         return val
 
-    def poles(self) -> list:
-        if len(self.den) <= 1:
-            return []
-        from numpy.polynomial.polynomial import polyroots
-        return [complex(z) for z in polyroots(self.den)]
+    def poles(self) -> tuple:
+        """The roots -1/x of den's factors (1 + x mu), a double one twice."""
+        return self._poles
 
     def __repr__(self):
         return f"RationalFunction(num={list(self.num)}, den={list(self.den)})"

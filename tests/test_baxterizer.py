@@ -507,6 +507,35 @@ def test_products_match_numpy_convolve(monkeypatch):
         assert np.max(np.abs(np.array(out) - expect)) <= 1e-15 * np.max(np.abs(expect)), (a, b)
 
 
+def test_poles_are_the_factor_roots_of_the_denominator():
+    # every amplitude on the classify corpus carries one root -1/x per
+    # denominator factor; numpy's polyroots is the oracle, to 1e-7 because it
+    # splits a double pole (ty M = 27) by about 2e-8
+    from numpy.polynomial.polynomial import polyroots
+    cats = ([bx.build_su2k(k) for k in range(1, 13)]
+            + [bx.build_minimal_A(k) for k in range(2, 9)]
+            + [bx.build_tambara_yamagami(M) for M in range(2, 29)])
+    seen = set()
+    for cat in cats:
+        for row in bx.classify_pairs(cat):
+            for fn in bx.solve_central(cat, row.rho, row.phi).funcs.values():
+                poles = fn.poles()
+                key = (tuple(map(_bits, fn.num + fn.den)), tuple(map(_bits, poles)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                assert len(poles) == len(fn.den) - 1, (cat.name, row)
+                roots = [complex(z) for z in polyroots(fn.den)] if len(fn.den) > 1 else []
+                for p in poles:
+                    gap, i = min((abs(p - z), i) for i, z in enumerate(roots))
+                    assert gap <= 1e-7, (cat.name, row, p)
+                    del roots[i]
+                    with pytest.raises(PoleError) as exc:
+                        fn.evaluate(p, pole_tol=1e-12)
+                    assert exc.value.pole in poles and str(exc.value.pole) in str(exc.value)
+    assert len(seen) > 1000, len(seen)
+
+
 def _memo_free_solve(cat, rho, phi):
     """Reference: the solver without its memo.  Each tree product is formed
     afresh as funcs[v] * linear_ratio(x), each solve evaluates its amplitudes

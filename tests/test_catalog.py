@@ -181,6 +181,18 @@ def test_param_validation(family, kwargs, capsys):
         assert p.flag in capsys.readouterr().err
 
 
+def test_param_refuses_booleans():
+    # bool is an int subclass: True would build level 1 under the name su2_kTrue
+    for family, spec in FAMILIES.items():
+        least = {p.kwarg: p.minimum for p in spec.params}
+        for p, flag in itertools.product(spec.params, (True, False)):
+            with pytest.raises(DomainError, match=f"parameter {p.kwarg} .* got {flag}$"):
+                bx.build_family(family, **{**least, p.kwarg: flag})
+    for build in (bx.build_su2k, bx.build_minimal_A, bx.build_tambara_yamagami):
+        with pytest.raises(DomainError, match="got True$"):
+            build(True)
+
+
 def test_unknown_family():
     with pytest.raises(DomainError):
         bx.build_family("e8", k=1)

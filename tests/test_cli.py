@@ -358,19 +358,26 @@ def test_finite_but_overflowing_mu_and_q_exit_2_naming_them(args, named):
 
 
 def test_import_catalog_and_classify_load_no_numpy():
-    argvs = [["catalog", "list"]] + [
-        ["classify", "--family", family, *flags] for family, flags in (
+    # an amplitude carries its poles, so baxterize's report solves for none
+    argvs = [(["catalog", "list"], 0)] + [
+        (["classify", "--family", family, *flags], 0) for family, flags in (
             ("su2", ["--level", "4"]), ("minimal", ["--level", "4"]), ("ty", ["--M", "6"]),
             ("so", ["--n", "5", "--level", "2"]), ("sp", ["--m", "2", "--level", "3"]),
-            ("g2", ["--level", "1"]))]
+            ("g2", ["--level", "1"]))] + [
+        ([*fmt, "baxterize", "--family", *flags, "--mu", "2", "--mu", "0.3+1.1j"], rc)
+        for fmt in ([], ["--format", "json"]) for flags, rc in (
+            (["su2", "--level", "4", "--rho", "1/2", "--phi", "1"], 0),
+            (["minimal", "--level", "4", "--rho", "1/2", "--phi", "1"], 0),
+            (["ty", "--M", "6", "--rho", "X", "--phi", "1"], 0),
+            (["su2", "--level", "8", "--rho", "3/2", "--phi", "2"], 1))]
     code = (
         "import contextlib, io, sys\n"
         "import baxcat\n"
         "loaded = ['numpy' in sys.modules]\n"
         "from baxcat.cli import main\n"
-        f"for argv in {argvs!r}:\n"
+        f"for argv, rc in {argvs!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert main(argv) == 0\n"
+        "        assert main(argv) == rc, argv\n"
         "    loaded.append('numpy' in sys.modules)\n"
         "print(loaded)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
