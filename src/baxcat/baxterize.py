@@ -46,7 +46,8 @@ class TensorProductGraph:
     Self-loops are never stored (an a = b edge forces ratio 1 identically).
     `edges` are canonical undirected pairs (a < b unless only the reversed
     direction is admissible); `directed` holds the admissibility witnesses
-    N_{a phi}^b != 0 as ordered pairs.
+    N_{a phi}^b != 0 as ordered pairs, so an edge whose reverse is missing
+    from it is oriented.
     """
 
     rho: int
@@ -54,7 +55,6 @@ class TensorProductGraph:
     vertices: tuple
     edges: tuple
     directed: tuple
-    oriented: bool
 
     def neighbours(self, a):
         return sorted({y if x == a else x for x, y in self.edges if a in (x, y)})
@@ -62,7 +62,7 @@ class TensorProductGraph:
 
 @dataclass(frozen=True)
 class CycleCheck:
-    vertices: tuple          # cycle vertex list, closing edge last
+    vertices: tuple          # the channels of the cycle, sorted
     closing_edge: tuple
     residual: float
     samples: int
@@ -148,14 +148,10 @@ def build_tp_graph(cat: CategoryData, rho, phi) -> TensorProductGraph:
                     f"phi={cat.display(phi)} leaves the channels of "
                     f"{cat.display(rho)} x {cat.display(rho)}")
     directed = tuple((a, b) for a, b in pairs if a != b)
-    oriented = cat.rules is not None and any((b, a) not in directed for a, b in directed)
     # canonical edge list: (min, max) unless only the reverse is admissible
-    keys = sorted({frozenset(e) for e in directed}, key=lambda s: tuple(sorted(s)))
-    canon = []
-    for key in keys:
-        a, b = sorted(key)
-        canon.append((a, b) if (a, b) in directed else (b, a))
-    return TensorProductGraph(rho, phi, verts, tuple(canon), directed, oriented)
+    edges = tuple(e if e in directed else e[::-1]
+                  for e in sorted({(min(e), max(e)) for e in directed}))
+    return TensorProductGraph(rho, phi, verts, edges, directed)
 
 
 def edge_ratio(cat: CategoryData, rho, a, b, mu) -> complex:
@@ -272,77 +268,59 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
     """Propagate amplitude ratios over a spanning tree and classify the rest.
 
     The reference channel (0, else the least channel) seeds its component, so
-    its amplitude is exactly 1.  Every non-tree edge closes a cycle; the
-    closing constraint is a rational identity of degree bounded by the edge
-    count, sampled at 2E+1 off-pole points and decided against `SOLVER_TOL`.
-    Edge ratios, tree products, grid values and cycle residuals come from a
-    `_SolverMemo` of `cat` (a fresh one unless `classify_pairs` passes its
-    own), so each amplitude is evaluated at most once per point per classify
-    call.  Float sampling is known to misjudge long cycles (ty rho = X at
-    even M >= 18, ROADMAP item 1).
+    its amplitude is exactly 1.  One BFS or DFS walk gives each channel its
+    route from its root, and its amplitude as the product of the edge ratios
+    along it.  An edge (a, b) where neither route extends the other closes a
+    cycle through both routes below their last shared channel: a rational
+    identity of degree at most E, sampled at 2E+1 off-pole points against
+    `SOLVER_TOL`.  A `_SolverMemo` of `cat` (a fresh one unless `classify_pairs`
+    passes its own) forms each edge ratio, tree product, grid value and cycle
+    residual once per classify call.  Float sampling misjudges long cycles (ty
+    rho = X at even M >= 18, ROADMAP item 1).
     """
     graph = build_tp_graph(cat, rho, phi)
     verts = graph.vertices
-    adj = {v: graph.neighbours(v) for v in verts}
     reference = 0 if 0 in verts else min(verts)
 
     if tree not in ("bfs", "dfs"):
         raise DomainError(f"unknown spanning-tree strategy {tree!r}")
     memo = _SolverMemo(cat) if _memo is None else _memo
-    parent = {}
-    components = []
-    keys = {}                         # channel -> edge keys along its tree path
+    routes = {}                       # channel -> channels on its tree path from its root
+    keys = {}                         # channel -> edge keys along that path
     amps = {}                         # channel -> (amplitude, grid values)
     for start in (reference, *verts):
-        if start in keys:
+        if start in routes:
             continue
-        comp = [start]
-        keys[start] = ()
-        amps[start] = memo.path(())
+        routes[start], keys[start], amps[start] = (start,), (), memo.path(())
         pending = [start]
         while pending:
             v = pending.pop(0) if tree == "bfs" else pending.pop()
-            for w in adj[v]:
-                if w in keys:
-                    continue
-                keys[w] = keys[v] + (memo.edge(graph.rho, v, w),)
-                amps[w] = memo.path(keys[w])
-                parent[w] = v
-                comp.append(w)
-                pending.append(w)
-        components.append(tuple(sorted(comp)))
-    components = tuple(sorted(components))
+            for w in graph.neighbours(v):
+                if w not in routes:
+                    routes[w] = routes[v] + (w,)
+                    keys[w] = keys[v] + (memo.edge(graph.rho, v, w),)
+                    amps[w] = memo.path(keys[w])
+                    pending.append(w)
+    components = tuple(sorted(tuple(sorted(v for v in verts if routes[v][0] == root))
+                              for root in {r[0] for r in routes.values()}))
 
-    def tree_path(a, b):
-        def root_path(v):
-            path = [v]
-            while v in parent:
-                v = parent[v]
-                path.append(v)
-            return path
-        pa, pb = root_path(a), root_path(b)
-        sa, sb = set(pa), set(pb)
-        meet = next(v for v in pa if v in sb)
-        return pa[: pa.index(meet) + 1] + list(reversed(pb[: pb.index(meet)]))
-
-    tree_edges = {frozenset((v, parent[v])) for v in parent}
-    closing = [e for e in graph.edges if frozenset(e) not in tree_edges]
     nsamp = 2 * max(1, len(graph.edges)) + 1
     cycles = []
-    for a, b in closing:
+    for a, b in graph.edges:
+        ra, rb = routes[a], routes[b]
+        if ra == rb[:-1] or rb == ra[:-1]:
+            continue                  # a tree edge
         res, taken = memo.residual(amps[a], amps[b],
                                    memo.ratios[memo.edge(graph.rho, a, b)], nsamp)
-        cyc = tree_path(a, b) if parent else [a, b]
-        cycles.append(CycleCheck(tuple(sorted(set(cyc))), (a, b), res, taken))
+        meet = len(set(ra) & set(rb)) - 1          # index of the last shared channel
+        cycles.append(CycleCheck(tuple(sorted({*ra[meet:], *rb[meet:]})), (a, b), res, taken))
 
     if any(c.residual >= SOLVER_TOL for c in cycles):
         verdict = INCONSISTENT
     elif len(components) > 1:
         verdict = UNDERDETERMINED
-    elif cycles:
-        verdict = CYCLE_CONSISTENT
     else:
-        verdict = TREE_UNIQUE
+        verdict = CYCLE_CONSISTENT if cycles else TREE_UNIQUE
     funcs = {v: fn for v, (fn, _) in amps.items()}
     return AmplitudeSolution(cat, graph, reference, verts, funcs, verdict,
                              components, tuple(cycles))

@@ -57,6 +57,14 @@ def spin_display(A: int) -> str:
     return str(A // 2) if A % 2 == 0 else f"{A}/2"
 
 
+@lru_cache(maxsize=None)
+def _f_table(blocks: Callable, level: int) -> FSymbolTable:
+    """The F table of `blocks(level)`, one per loader and level, so every
+    build of a level (su(2)_k and A_{k+1} alike) reads one table, whose
+    blocks are flattened once per process."""
+    return FSymbolTable(lambda: blocks(level))
+
+
 def _su2_category(name: str, k: int, Delta, sign) -> CategoryData:
     """su(2)_k fusion, dimensions and F with the spins Delta(A) and the signs
     nu_a^{bc} = sign(a, b, c), read off one scan of the admissible triples;
@@ -71,7 +79,7 @@ def _su2_category(name: str, k: int, Delta, sign) -> CategoryData:
         twists=TwistData(tuple(map(Delta, range(n))), {t: sign(*t) for t in triples}),
         rules=FusionRules.from_triples(n, triples, range(n)),
         dims=QuantumDims(tuple(su2_qdim(A, k) for A in range(n))),
-        f=FSymbolTable(lambda: su2k_f_blocks(k)),
+        f=_f_table(su2k_f_blocks, k),
     )
 
 
@@ -152,7 +160,7 @@ def build_tambara_yamagami(M: int) -> CategoryData:
         twists=TwistData(Delta, nu),
         rules=rules,
         dims=QuantumDims((1.0,) * M + (math.sqrt(M),)),
-        f=FSymbolTable(lambda: ty_f_blocks(M)),
+        f=_f_table(ty_f_blocks, M),
         notes=("Delta_X is a placeholder unused by the solver; braid phases "
                "involving it are global and cancel in every relation",),
     )

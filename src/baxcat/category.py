@@ -189,12 +189,6 @@ class FSymbolTable:
         vals.setflags(write=False)
         return keys, vals
 
-    @functools.cached_property
-    def _values(self):
-        # `flat` as a dict, so a scalar read does no numpy work
-        keys, vals = self.flat
-        return dict(zip(keys[:-1].tolist(), vals[:-1].tolist()))
-
     def gather(self, x, y, z, w, u, v):
         """[F^{xyz}_w]_{uv} over label arrays, 0 where the table has no entry."""
         import numpy as np
@@ -210,8 +204,12 @@ class FSymbolTable:
         return out
 
     def block_value(self, x, y, z, w, u, v):
-        """[F^{xyz}_w]_{uv}, or None when the table has no such entry."""
-        return self._values.get(f_keys(x, y, z, w, u, v))
+        """[F^{xyz}_w]_{uv}, one binary search of `flat`, or None when the
+        table has no such entry."""
+        keys, vals = self.flat
+        q = f_keys(x, y, z, w, u, v)
+        pos = keys.searchsorted(q)          # the last key is the sentinel, no entry
+        return complex(vals[pos]) if pos < len(keys) - 1 and keys[pos] == q else None
 
 
 def _block_entries(blocks):

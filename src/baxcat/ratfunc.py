@@ -82,6 +82,10 @@ class RationalFunction:
 
     def evaluate(self, mu: complex, pole_tol: float = 1e-12) -> complex:
         mu = complex(mu)
+        if cmath.isinf(mu):             # the limit: leading coefficients at equal degrees
+            if len(self.num) > len(self.den):
+                raise PoleError(f"mu -> infinity is a pole of {self}", pole=mu)
+            return self.num[-1] / self.den[-1] if len(self.num) == len(self.den) else 0j
         den = _horner(self._den_desc, mu)
         try:
             scale = self._den_scale * max(1.0, abs(mu)) ** (len(self.den) - 1)

@@ -225,26 +225,24 @@ def verify_commuting_transfer(cat: CategoryData, rho, solution: AmplitudeSolutio
 
 
 def verify_braid_limits(cat: CategoryData, rho, solution: AmplitudeSolution,
-                        tol=None) -> VerificationReport:
-    """R(1) equal to the identity; R at extreme mu proportional to one of the
-    braid generators, on the 2-strand patch.  Which sense matches is
-    recorded, not asserted.  A given `tol` replaces both tolerances, 1e-12
-    for R(1) and 1e-6 for the limits."""
+                        tol=1e-12) -> VerificationReport:
+    """R(1) equal to the identity; R(infinity) and R(0), the exact limits,
+    proportional to one of the braid generators, on the 2-strand patch.
+    Which sense matches is recorded, not asserted."""
     _check_consistent(solution)
-    tol_identity, tol_braid = (1e-12, 1e-6) if tol is None else (tol, tol)
     basis = enumerate_trees(cat, rho, 2, OPEN_ALL)
     rep = VerificationReport(
         "braid_limits", params={"category": cat.name, "rho": cat.display(rho),
                                 "phi": cat.display(solution.phi)})
     r1 = r_op(solution, 1.0, 1, basis).matrix
-    rep.add("r_at_identity", _fnorm(r1 - np.eye(basis.size)), tol_identity)
+    rep.add("r_at_identity", _fnorm(r1 - np.eye(basis.size)), tol)
 
     senses = [(sense, braid_op(cat, rho, 1, sense, basis).matrix) for sense in ("over", "under")]
-    for mu, tag in ((1e8, "mu_large"), (1e-8, "mu_small")):
+    for mu, tag in ((math.inf, "mu_large"), (0.0, "mu_small")):
         R = r_op(solution, mu, 1, basis).matrix
         res, sense = min((_fnorm(R - np.vdot(B, R) / np.vdot(B, B) * B)
                           / max(_fnorm(R), 1e-300), sense) for sense, B in senses)
-        rep.add(f"braid_limit_{tag}", res, tol_braid, matched_sense=sense)
+        rep.add(f"braid_limit_{tag}", res, tol, matched_sense=sense)
     return rep
 
 

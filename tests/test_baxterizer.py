@@ -23,7 +23,7 @@ def test_tp_graph_su2_loop():
     g = bx.build_tp_graph(cat, 1, 2)          # rho=1/2, phi=1
     assert g.vertices == (0, 2)
     assert g.edges == ((0, 2),)
-    assert not g.oriented
+    assert all((b, a) in g.directed for a, b in g.directed)      # unoriented
 
 
 def test_tp_graph_higher_spin_path():
@@ -37,7 +37,7 @@ def test_tp_graph_ty_oriented_cycle():
     for M in (3, 6):
         ty = bx.build_tambara_yamagami(M)
         g = bx.build_tp_graph(ty, M, 1)
-        assert g.oriented
+        assert all((b, a) not in g.directed for a, b in g.directed)  # oriented
         assert set(g.directed) == {(a, (a + 1) % M) for a in range(M)}
         assert len(g.edges) == M
 
@@ -304,6 +304,39 @@ def test_spanning_tree_invariance():
                 r1 = bx.amplitude_at(s_bfs, b, mu) / bx.amplitude_at(s_bfs, a, mu)
                 r2 = bx.amplitude_at(s_dfs, b, mu) / bx.amplitude_at(s_dfs, a, mu)
                 assert abs(r1 - r2) < 1e-10
+
+
+def _connected(verts, edges):
+    """Whether `edges`, each within `verts`, join all of `verts`."""
+    seen, todo = set(), [min(verts)]
+    while todo:
+        v = todo.pop()
+        if v not in seen:
+            seen.add(v)
+            todo += [y if x == v else x for x, y in edges if v in (x, y)]
+    return seen == set(verts)
+
+
+@pytest.mark.parametrize("family, params", [
+    *(("su2", {"k": k}) for k in range(1, 11)), *(("minimal", {"k": k}) for k in range(2, 8)),
+    *(("ty", {"M": M}) for M in range(2, 13)),
+    ("so", {"n": 5, "k": 2}), ("sp", {"m": 2, "k": 3}), ("g2", {"k": 2})])
+def test_bfs_and_dfs_trees_close_simple_cycles(family, params):
+    # each closing edge's cycle is the two tree routes below their last shared
+    # channel and the edge itself: every channel on it has two neighbours on
+    # it, and it stays connected without the closing edge
+    cat = bx.build_family(family, **params)
+    for row in bx.classify_pairs(cat):
+        bfs, dfs = (bx.solve_central(cat, row.rho, row.phi, tree=t) for t in ("bfs", "dfs"))
+        assert (bfs.verdict, bfs.components) == (dfs.verdict, dfs.components)
+        for sol in (bfs, dfs):
+            g = sol.graph
+            assert len(sol.cycles) == len(g.edges) - len(g.vertices) + len(sol.components)
+            for c in sol.cycles:
+                assert set(c.closing_edge) <= set(c.vertices)
+                inside = [e for e in g.edges if set(e) <= set(c.vertices)]
+                assert all(sum(v in e for e in inside) >= 2 for v in c.vertices), (row, c)
+                assert _connected(c.vertices, [e for e in inside if e != c.closing_edge]), (row, c)
 
 
 def test_randomised_tree_twists_always_solve():

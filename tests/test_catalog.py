@@ -118,6 +118,23 @@ def test_cached_f_arrays_are_read_only():
     assert bx.build_su2k(4).f.blocks is bx.build_minimal_A(4).f.blocks
 
 
+def test_one_f_table_per_level(monkeypatch):
+    # every build of a level shares its table, so only the first read
+    # flattens the blocks; su(2)_k and A_{k+1} share theirs
+    assert bx.build_su2k(6).f is bx.build_minimal_A(6).f is bx.build_su2k(6).f
+    assert bx.build_tambara_yamagami(10).f is bx.build_tambara_yamagami(10).f
+    assert bx.build_su2k(6).f is not bx.build_su2k(5).f
+    for cat in (bx.build_su2k(6), bx.build_tambara_yamagami(10)):
+        cat.f.flat
+    calls = []
+    real = bx.category._block_entries
+    monkeypatch.setattr(bx.category, "_block_entries", lambda b: calls.append(b) or real(b))
+    for cat in (bx.build_minimal_A(6), bx.build_su2k(6), bx.build_tambara_yamagami(10)):
+        assert cat.f.block_value(0, 0, 0, 0, 0, 0) == 1
+        cat.f.flat
+    assert calls == []
+
+
 def test_ty_2_data():
     ty = bx.build_tambara_yamagami(2)
     assert ty.twists.Delta[1] == Fraction(1, 2)

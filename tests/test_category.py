@@ -673,6 +673,8 @@ def test_f_lookups_read_absent_entries_as_missing_or_zero():
     assert f.block_value(1, 1, 1, 1, us[1], vs[0]) == complex(mat[1, 0])
     assert f.block_value(1, 1, 1, 1, 1, 0) is None          # u = 1/2 not in 1/2 x 1/2
     assert f.block_value(1, 1, 1, 2, 0, 0) is None          # no such block
+    for labels in ((8191, 1023, 1023, 1023, 1023, 1023), (8191,) * 6):
+        assert f.block_value(*labels) is None               # at and past the sentinel key
     got = f.gather([1, 1, 1], 1, 1, [1, 1, 2], [us[1], 1, 0], [vs[0], 0, 0])
     assert got.tolist() == [complex(mat[1, 0]), 0j, 0j]
     keys, vals = f.flat

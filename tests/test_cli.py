@@ -302,6 +302,18 @@ def test_tol_reaches_every_braid_check():
     assert len(checks) == 5 and {c["tolerance"] for c in checks} == {"1e-08"}
 
 
+def test_braid_limits_pass_the_identity_tolerance():
+    # R(infinity) and R(0) are exact limits, so a correct category passes
+    # --tol 1e-12 on them as on R(1)
+    rc, out, _ = run_cli(["--format", "json", "verify", "braid", "--family", "su2", "--level", "4",
+                          "--rho", "1", "--phi", "1", "--tol", "1e-12"])
+    assert rc == 0
+    checks = {c["check"]: c for c in json.loads(out)["checks"]}
+    for tag in ("large", "small"):
+        limit = checks[f"braid_limit_mu_{tag}"]
+        assert float(limit["max_residual"]) < 1e-14 and float(limit["tolerance"]) == 1e-12
+
+
 def _no_f(*args):
     raise AssertionError("an F table was built")
 

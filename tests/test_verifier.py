@@ -216,6 +216,33 @@ def test_braid_limits_records_sense_su2_3():
     assert rep.check("braid_limit_mu_large").residual < 1e-6
 
 
+def test_braid_limits_are_exact_at_one_tolerance():
+    # R(infinity) and R(0) are read from the leading and constant
+    # coefficients, so the limits hold to rounding, like R(1), under the one
+    # default tolerance 1e-12; a 1e-6 change of one amplitude shows on them
+    cats = ([bx.build_su2k(k) for k in range(1, 11)] + [bx.build_minimal_A(k) for k in range(2, 8)]
+            + [bx.build_tambara_yamagami(M) for M in range(2, 11)])
+    limits = ("braid_limit_mu_large", "braid_limit_mu_small")
+    n, relations = 0, {}
+    for cat in cats:
+        for row in bx.classify_pairs(cat):
+            if row.verdict not in ("TREE_UNIQUE", "CYCLE_CONSISTENT"):
+                continue
+            sol, at = bx.solve_central(cat, row.rho, row.phi), (cat.name, row.rho, row.phi)
+            rep = bx.verify_braid_limits(cat, row.rho, sol)
+            assert rep.passed and {c.tolerance for c in rep.checks} == {1e-12}, at
+            assert max(rep.check(name).residual for name in limits) < 1e-14, at
+            bad = bx.verify_braid_limits(cat, row.rho,
+                                         perturb_solution(sol, max(sol.channels), 1e-6))
+            assert min(bad.check(name).residual for name in limits) > 1e-7, at
+            if (cat.name, row.rho) not in relations:
+                relations[cat.name, row.rho] = bx.verify_braid_relations(cat, row.rho, L=3,
+                                                                         tol=1e-12)
+            n += 1
+    assert n == 126
+    assert all(rep.passed for rep in relations.values())
+
+
 def test_minimal_braid_is_su2_inverse():
     # q <-> 1/q exchanges the two crossings: the minimal-model overcrossing is
     # proportional to the su(2)_k undercrossing on the shared projector basis
