@@ -24,11 +24,11 @@ import functools
 import itertools
 import math
 import struct
-from dataclasses import dataclass
 
 from .category import CategoryData, fusion_product, twist_edge_ratio
 from .errors import DomainError, PoleError
 from .ratfunc import RationalFunction
+from .record import record
 from .report import fmt_complex, fmt_float
 
 SOLVER_TOL = 1e-9
@@ -39,7 +39,7 @@ UNDERDETERMINED = "UNDERDETERMINED"
 INCONSISTENT = "INCONSISTENT"
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TensorProductGraph:
     """Channels of rho x rho as vertices, phi-fusion adjacency as edges.
 
@@ -60,7 +60,7 @@ class TensorProductGraph:
         return sorted({y if x == a else x for x, y in self.edges if a in (x, y)})
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class CycleCheck:
     vertices: tuple          # the channels of the cycle, sorted
     closing_edge: tuple
@@ -68,7 +68,7 @@ class CycleCheck:
     samples: int
 
 
-@dataclass
+@record
 class AmplitudeSolution:
     cat: CategoryData
     graph: TensorProductGraph
@@ -335,7 +335,7 @@ def amplitude_at(solution: AmplitudeSolution, chi, mu) -> complex:
     return solution.funcs[chi].evaluate(mu)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ClassifyRow:
     rho: int
     phi: int

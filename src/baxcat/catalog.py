@@ -23,18 +23,17 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable
 
 from .category import (CategoryData, FSymbolTable, FusionRules, ObjectLabel,
                        QuantumDims, TwistData, f_blocks, f_rows)
 from .errors import DomainError
+from .record import record
 from .sixj import su2_admissible, su2_qdim, su2k_f_blocks
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Param:
     """One integer family parameter: its `build_family` keyword, its
     command-line flag and its least allowed value."""
@@ -170,7 +169,7 @@ def build_tambara_yamagami(M: int) -> CategoryData:
 # twist-only Lie families
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LieTable:
     """Twist-only data of one Lie family, copied verbatim from its source table:
     channels 0, 1, ... of rho x rho with their signs nu, `spins(**params)` giving
@@ -214,7 +213,7 @@ def build_lie_twist_data(table: LieTable, **params) -> CategoryData:
 # the family registry
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Family:
     """One built-in family: what `build_family`, `catalog list` and the
     command line know of it."""

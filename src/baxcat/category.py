@@ -28,20 +28,20 @@ import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import AxiomError, CapabilityError, DomainError
+from .record import record
 from .report import VerificationReport, fmt_float
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class ObjectLabel:
     id: int
     display: str
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FusionRules:
     """Multiplicity-free fusion rules with duality map: `products[a][b]` is
     the sorted tuple of channels c with N_{ab}^c = 1."""
@@ -83,7 +83,7 @@ class FusionRules:
         return self.N[a].astype(float)
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class QuantumDims:
     """Quantum dimensions as Python floats; `d` is the same as an array."""
 
@@ -101,7 +101,7 @@ class QuantumDims:
         return d
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class TwistData:
     """Topological spins as exact rationals and the sign table nu_a^{bc}.
 
@@ -192,7 +192,14 @@ class FSymbolTable:
     def gather(self, x, y, z, w, u, v):
         """[F^{xyz}_w]_{uv} over label arrays, 0 where the table has no entry."""
         import numpy as np
-        return self.at(f_keys(*(np.asarray(t, dtype=np.int64) for t in (x, y, z, w, u, v))))
+        try:
+            labels = [np.asarray(t, dtype=np.int64) for t in (x, y, z, w, u, v)]
+            inside = not np.any(functools.reduce(operator.or_, labels) >> _KEY_BITS)
+        except OverflowError:           # past the int64 range
+            inside = False
+        if not inside:
+            raise DomainError(f"F labels outside 0..{(1 << _KEY_BITS) - 1}")
+        return self.at(f_keys(*labels))
 
     def at(self, q):
         """The entries of an int64 array of `f_keys`, 0 where the table has none."""
@@ -205,11 +212,14 @@ class FSymbolTable:
 
     def block_value(self, x, y, z, w, u, v):
         """[F^{xyz}_w]_{uv}, one binary search of `flat`, or None when the
-        table has no such entry."""
+        table has no such entry.  A label outside 0..1023, which `f_keys` would
+        carry into the next label's bits, is refused."""
+        if (x | y | z | w | u | v) >> _KEY_BITS:
+            raise DomainError(f"F labels {(x, y, z, w, u, v)} outside 0..{(1 << _KEY_BITS) - 1}")
         keys, vals = self.flat
         q = f_keys(x, y, z, w, u, v)
-        pos = keys.searchsorted(q)          # the last key is the sentinel, no entry
-        return complex(vals[pos]) if pos < len(keys) - 1 and keys[pos] == q else None
+        pos = keys.searchsorted(q)          # below the sentinel key, so a position in keys
+        return complex(vals[pos]) if keys[pos] == q else None
 
 
 def _block_entries(blocks):
@@ -271,7 +281,7 @@ def f_blocks(labels, vals) -> dict:
     return blocks
 
 
-@dataclass
+@record
 class CategoryData:
     """Everything the solver and verifier consume.
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from .record import factory, record
 
 
 def fmt_float(x: float) -> str:
@@ -15,7 +15,7 @@ def fmt_complex(z) -> list:
     return [fmt_float(z.real), fmt_float(z.imag)]
 
 
-@dataclass
+@record
 class CheckResult:
     """One named residual check."""
 
@@ -23,7 +23,7 @@ class CheckResult:
     residual: float
     tolerance: float
     samples: int = 1
-    details: dict = field(default_factory=dict)
+    details: dict = factory(dict)
 
     @property
     def passed(self) -> bool:
@@ -46,15 +46,15 @@ class CheckResult:
         return out
 
 
-@dataclass
+@record
 class VerificationReport:
     """Collection of checks run against one target, with its provenance."""
 
     name: str
-    params: dict = field(default_factory=dict)
+    params: dict = factory(dict)
     seed: int | None = None
-    checks: list[CheckResult] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    checks: list[CheckResult] = factory(list)
+    notes: list[str] = factory(list)
 
     def add(self, name, residual, tolerance, samples=1, **details) -> CheckResult:
         res = CheckResult(name, float(residual), float(tolerance), samples, dict(details))

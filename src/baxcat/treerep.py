@@ -13,13 +13,13 @@ for a braid and A(mu) for R(mu) and the transfer matrix.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .baxterize import AmplitudeSolution, amplitude_at
 from .category import CategoryData, fusion_product, twist_factor
 from .errors import CapabilityError, DomainError
+from .record import record
 
 OPEN_ALL = "open_all"
 PERIODIC = "periodic"
@@ -79,7 +79,7 @@ class FusionTreeBasis:
         return U
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class LinearOp:
     basis: FusionTreeBasis
     matrix: np.ndarray

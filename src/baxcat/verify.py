@@ -13,14 +13,13 @@ annulus 0.2 < |mu| < 5 with small disks around poles excluded.
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
 import sys
 
 import numpy as np
 
-from .baxterize import (INCONSISTENT, AmplitudeSolution, amplitude_at,
-                        solve_central)
+from .baxterize import (INCONSISTENT, UNDERDETERMINED, AmplitudeSolution,
+                        amplitude_at, solve_central)
 from .category import CategoryData, fusion_product, twist_edge_ratio
 from .errors import CapabilityError, DomainError, PoleError
 from .ratfunc import RationalFunction
@@ -50,12 +49,20 @@ def _check_samples(samples):
         raise DomainError(f"samples must be >= 1, got {samples}")
 
 
-def _check_consistent(solution):
-    """Refuse an INCONSISTENT solution: its weights have no current to check."""
+def _check_consistent(solution, determined=True):
+    """Refuse an INCONSISTENT solution: its weights have no current to check.
+    With `determined`, refuse an UNDERDETERMINED one too: the solver sets the
+    reference of each extra component to 1, so its weights are one arbitrary
+    member of a family, and a check of them would judge that choice."""
+    cat = solution.cat
+    pair = f"({cat.display(solution.rho)}, {cat.display(solution.phi)})"
     if solution.verdict == INCONSISTENT:
-        cat = solution.cat
-        raise DomainError(f"({cat.display(solution.rho)}, {cat.display(solution.phi)}) is "
-                          f"{INCONSISTENT}: the checks require a consistent solution")
+        raise DomainError(f"{pair} is {INCONSISTENT}: the checks require a consistent solution")
+    if determined and solution.verdict == UNDERDETERMINED:
+        comps = ", ".join("{" + ", ".join(map(cat.display, c)) + "}" for c in solution.components)
+        raise DomainError(f"{pair} is {UNDERDETERMINED}: its amplitudes are fixed only up to "
+                          f"one factor per component ({comps}); the checks require a unique "
+                          f"solution")
 
 
 def _fnorm(m):
@@ -100,7 +107,7 @@ def perturb_solution(solution: AmplitudeSolution, chi, eps) -> AmplitudeSolution
     """Scale one channel amplitude by (1 + eps); negative-control input."""
     funcs = dict(solution.funcs)
     funcs[chi] = funcs[chi] * RationalFunction([1.0 + eps], [1.0])
-    return dataclasses.replace(solution, funcs=funcs)
+    return solution.replace(funcs=funcs)
 
 
 def random_solution(cat: CategoryData, rho, phi, seed=0) -> AmplitudeSolution:
@@ -112,7 +119,7 @@ def random_solution(cat: CategoryData, rho, phi, seed=0) -> AmplitudeSolution:
         z = rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.uniform())
         funcs[ch] = RationalFunction([complex(z)], [1.0])
     funcs[sol.reference] = RationalFunction.one()
-    return dataclasses.replace(sol, funcs=funcs)
+    return sol.replace(funcs=funcs)
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +142,7 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
     _check_samples(samples)
     if not cat.representable:
         raise CapabilityError(f"{cat.name} has no F-symbols; vertex check needs them")
-    _check_consistent(solution)
+    _check_consistent(solution, determined=False)   # each edge constrains its own component
     rho, phi = cat.check_label(rho), cat.check_label(phi)
     phibar = cat.rules.dual[phi]
     d = cat.dims

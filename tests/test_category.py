@@ -1,7 +1,6 @@
 """Axioms, dimensions, twists and the JSON round trip."""
 
 import cmath
-import dataclasses
 import itertools
 import json
 import math
@@ -318,8 +317,8 @@ def test_json_round_trip_twist_only():
 _WRITER_CASES = ([bx.build_family(family, **params) for family, params in (
     ("su2", {"k": 4}), ("minimal", {"k": 3}), ("ty", {"M": 5}), ("so", {"n": 5, "k": 2}),
     ("sp", {"m": 2, "k": 3}), ("g2", {"k": 2}))]
-    + [dataclasses.replace(bx.build_su2k(22), f=None),        # F-less, as lib sessions read it
-       dataclasses.replace(bx.build_su2k(2), notes=("a note", 'with "quotes" and \u00e9'))])
+    + [bx.build_su2k(22).replace(f=None),        # F-less, as lib sessions read it
+       bx.build_su2k(2).replace(notes=("a note", 'with "quotes" and \u00e9'))])
 
 
 @pytest.mark.parametrize("cat", _WRITER_CASES, ids=lambda c: c.name)
@@ -339,7 +338,7 @@ def test_writer_is_json_dumps_with_indent_1(cat):
 def test_writer_keeps_signed_zeros_and_extreme_values():
     f = FSymbolTable({(0, 0, 0, 0): ((0, 1), (0, 1), np.array(
         [[-0.0 - 0j, 1e-310 + 1e308j], [-2.5e-5 + 0.1j, complex(1 / 3, -0.0)]]))})
-    cat = dataclasses.replace(bx.build_su2k(1), f=f)
+    cat = bx.build_su2k(1).replace(f=f)
     text = bx.category_to_json(cat)
     assert json.dumps(json.loads(text), indent=1) == text
     assert [row[6] for row in json.loads(text)["F"]] == [
@@ -585,7 +584,7 @@ def _corrupted(cat, seed, count):
         us, vs, mat = cat.f.blocks[key]
         mat = mat.copy()
         mat[rng.integers(len(us)), rng.integers(len(vs))] *= 1.5 + 0.25j
-        yield dataclasses.replace(cat, f=FSymbolTable({**cat.f.blocks, key: (us, vs, mat)}))
+        yield cat.replace(f=FSymbolTable({**cat.f.blocks, key: (us, vs, mat)}))
 
 
 @pytest.mark.parametrize("build, arg", [(bx.build_su2k, 4), (bx.build_tambara_yamagami, 5)])
@@ -608,7 +607,7 @@ def test_pentagon_batches_split_inside_one_label_and_match_the_literal_loop(
     blocks = dict(cat.f.blocks)
     key = sorted(blocks)[rng.integers(len(blocks))]
     us, vs, mat = blocks[key]
-    bad = dataclasses.replace(cat, f=FSymbolTable({**blocks, key: (us, vs, mat * (1.25 - 0.5j))}))
+    bad = cat.replace(f=FSymbolTable({**blocks, key: (us, vs, mat * (1.25 - 0.5j))}))
     for table in (cat, bad):
         want = _first_worst(literal_pentagon(table))
         for terms in (3, 40, 1 << 12):
@@ -674,7 +673,8 @@ def test_f_lookups_read_absent_entries_as_missing_or_zero():
     assert f.block_value(1, 1, 1, 1, 1, 0) is None          # u = 1/2 not in 1/2 x 1/2
     assert f.block_value(1, 1, 1, 2, 0, 0) is None          # no such block
     for labels in ((8191, 1023, 1023, 1023, 1023, 1023), (8191,) * 6):
-        assert f.block_value(*labels) is None               # at and past the sentinel key
+        with pytest.raises(DomainError):                    # at and past the sentinel key
+            f.block_value(*labels)
     got = f.gather([1, 1, 1], 1, 1, [1, 1, 2], [us[1], 1, 0], [vs[0], 0, 0])
     assert got.tolist() == [complex(mat[1, 0]), 0j, 0j]
     keys, vals = f.flat
@@ -683,6 +683,17 @@ def test_f_lookups_read_absent_entries_as_missing_or_zero():
     # an unsorted table indexes the same entries
     shuffled = FSymbolTable(dict(reversed(list(f.blocks.items()))))
     assert np.array_equal(shuffled.flat[0], keys) and np.array_equal(shuffled.flat[1], vals)
+
+
+@pytest.mark.parametrize("bad", [1024, -1, 2 ** 70])
+def test_f_lookups_refuse_a_label_outside_the_key_range(bad):
+    # a label of 1024 carried into the next label's bits: (1, 1, 1024, 1, 1, 2)
+    # had the key of [F^{1 2 0}_1]_{1 2} and read 0.9999999999999998
+    f = bx.build_su2k(3).f
+    with pytest.raises(DomainError, match="outside 0..1023"):
+        f.block_value(1, 1, bad, 1, 1, 2)
+    with pytest.raises(DomainError, match="outside 0..1023"):
+        f.gather([1, 1], 1, [1, bad], 1, 1, 2)
 
 
 def test_a_nan_in_f_fails_the_identity_checks():

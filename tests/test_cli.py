@@ -1,6 +1,5 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
-import dataclasses
 import importlib
 import json
 import subprocess
@@ -12,7 +11,7 @@ import pytest
 import baxcat as bx
 import baxcat.catalog
 from baxcat.category import FSymbolTable
-from baxcat.cli import main
+from baxcat.cli import FAMILY_PARAMS, main
 
 
 def run_cli(args):
@@ -102,6 +101,42 @@ def test_inconsistent_solution_exit_code():
     rc, _, _ = run_cli(["baxterize", "--family", "su2", "--level", "8",
                         "--rho", "3/2", "--phi", "2"])
     assert rc == 1
+
+
+# every UNDERDETERMINED pair of su2 k <= 10, minimal k = 2..7 and ty M = 2..10
+UNDERDETERMINED_PAIRS = (
+    [("su2", "--level", k, rho, phi) for k, rho, phi in (
+        (4, "1", "2"), (6, "3/2", "3"), (8, "2", "4"), (10, "5/2", "5"))]
+    + [("minimal", "--level", k, rho, phi) for k, rho, phi in ((4, "1", "2"), (6, "3/2", "3"))]
+    + [("ty", "--M", M, "X", str(phi)) for M, phis in (
+        (4, (2,)), (6, (2, 3, 4)), (8, (2, 4, 6)), (10, (2, 4, 5, 6, 8))) for phi in phis])
+
+
+def test_underdetermined_pairs_exit_2_on_the_checks_that_need_a_unique_solution(capsys):
+    # an UNDERDETERMINED pair's weights are one arbitrary member of a family,
+    # so ybe, transfer and braid refuse it; each edge of the vertex check
+    # constrains its own component, so `verify current` runs and passes
+    def build(family, flag, value):
+        return bx.build_family(family, **{FAMILY_PARAMS[flag].kwarg: value})
+
+    found = sorted((family, flag, value, cat.display(r.rho), cat.display(r.phi))
+                   for family, flag, values in (("su2", "--level", range(1, 11)),
+                                                ("minimal", "--level", range(2, 8)),
+                                                ("ty", "--M", range(2, 11)))
+                   for value in values for cat in [build(family, flag, value)]
+                   for r in bx.classify_pairs(cat) if r.verdict == "UNDERDETERMINED")
+    assert found == sorted(UNDERDETERMINED_PAIRS) and len(found) == 18
+    for family, flag, value, rho, phi in UNDERDETERMINED_PAIRS:
+        pair = ["--family", family, flag, str(value), "--rho", rho, "--phi", phi]
+        cat = build(family, flag, value)
+        sol = bx.solve_central(cat, cat.label_id(rho), cat.label_id(phi))
+        comps = ", ".join("{" + ", ".join(map(cat.display, c)) + "}" for c in sol.components)
+        for check in (["ybe", "--L", "3"], ["transfer", "--L", "4"], ["braid", "--L", "3"]):
+            assert main(["verify", *check, *pair]) == 2, (check, pair)
+            err = capsys.readouterr().err
+            assert f"({rho}, {phi}) is UNDERDETERMINED" in err and f"({comps})" in err, err
+        assert main(["verify", "current", *pair, "--samples", "3"]) == 0, pair
+        capsys.readouterr()
 
 
 def test_usage_errors_exit_2():
@@ -348,8 +383,8 @@ def test_export_category_builds_f(family, flag, kwarg, value, loader, monkeypatc
     rc = main(["classify", "--family", family, flag, str(value),
                "--export-category", str(path)])
     assert rc == 0 and calls == [value]
-    eager = dataclasses.replace(bx.build_family(family, **{kwarg: value}),
-                                f=FSymbolTable(real(value)))
+    eager = bx.build_family(family, **{kwarg: value}).replace(
+        f=FSymbolTable(real(value)))
     assert path.read_text() == bx.category_to_json(eager)
 
 
@@ -370,7 +405,9 @@ def test_finite_but_overflowing_mu_and_q_exit_2_naming_them(args, named):
 
 
 def test_import_catalog_and_classify_load_no_numpy():
-    # an amplitude carries its poles, so baxterize's report solves for none
+    # an amplitude carries its poles, so baxterize's report solves for none;
+    # the records generate no code, so no command loads dataclasses (and the
+    # inspect and ast modules it imports), verify included
     argvs = [(["catalog", "list"], 0)] + [
         (["classify", "--family", family, *flags], 0) for family, flags in (
             ("su2", ["--level", "4"]), ("minimal", ["--level", "4"]), ("ty", ["--M", "6"]),
@@ -382,19 +419,22 @@ def test_import_catalog_and_classify_load_no_numpy():
             (["minimal", "--level", "4", "--rho", "1/2", "--phi", "1"], 0),
             (["ty", "--M", "6", "--rho", "X", "--phi", "1"], 0),
             (["su2", "--level", "8", "--rho", "3/2", "--phi", "2"], 1))]
+    verify = (["verify", "current", *SU2_3, "--samples", "3"], 0)
     code = (
         "import contextlib, io, sys\n"
         "import baxcat\n"
-        "loaded = ['numpy' in sys.modules]\n"
+        "def loaded():\n"
+        "    return 'numpy' in sys.modules, 'dataclasses' in sys.modules\n"
+        "seen = [loaded()]\n"
         "from baxcat.cli import main\n"
-        f"for argv, rc in {argvs!r}:\n"
+        f"for argv, rc in {[*argvs, verify]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == rc, argv\n"
-        "    loaded.append('numpy' in sys.modules)\n"
-        "print(loaded)\n")
+        "    seen.append(loaded())\n"
+        "print(seen)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{[False] * (1 + len(argvs))}\n"
+    assert proc.stdout == f"{[(False, False)] * (1 + len(argvs)) + [(True, False)]}\n"
 
 
 def test_public_names_resolve():

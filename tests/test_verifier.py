@@ -2,7 +2,6 @@
 positive checks honest."""
 
 import cmath
-import dataclasses
 import math
 import time
 
@@ -363,7 +362,7 @@ def flip_one_nu(cat, rho):
     su(2)_4 with rho = 1 leaves Reidemeister III at rounding noise.)"""
     nu = dict(cat.twists.nu)
     nu[0, rho, rho] = -nu[0, rho, rho]
-    return dataclasses.replace(cat, twists=dataclasses.replace(cat.twists, nu=nu))
+    return cat.replace(twists=cat.twists.replace(nu=nu))
 
 
 PATCH_CASES = ([("su2", {"k": k}, "1/2", "1", L) for k in (3, 4) for L in range(3, 9)]
@@ -469,7 +468,7 @@ def scale_one_f(cat, rho, factor=1.3 - 0.4j):
     m = m.copy()
     m[0, 0] *= factor
     blocks[key] = (us, vs, m)
-    return dataclasses.replace(cat, f=bx.FSymbolTable(blocks))
+    return cat.replace(f=bx.FSymbolTable(blocks))
 
 
 @pytest.mark.parametrize("family, params, rho", [
