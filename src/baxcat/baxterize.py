@@ -14,7 +14,7 @@ INCONSISTENT at every even M >= 18 (ROADMAP item 1, exact amplitudes).
 
 A solver memo keyed by the exact bits of the twist-edge ratios forms each
 edge ratio, tree product and cycle residual once per classify call, and
-evaluates each amplitude at most once per grid point per classify call.
+evaluates each of its entries at most once per grid point.
 """
 
 from __future__ import annotations
@@ -167,100 +167,90 @@ def _grid_point(j: int) -> complex:
     return radii[j % len(radii)] * cmath.exp(2j * math.pi * ((j * golden) % 1.0))
 
 
-def _coeff_bits(fn: RationalFunction) -> bytes:
-    """The exact bits of fn's coefficients: equal bits, equal values anywhere."""
-    parts = [t for z in fn.num + fn.den for t in (z.real, z.imag)]
-    return struct.pack(f"<i{len(parts)}d", len(fn.num), *parts)
+class _Sampled:
+    """A solver memo entry, an edge ratio or a tree product: its function and
+    its values at grid points 0, 1, 2, ..., None within 1e-8 of a pole."""
 
+    __slots__ = ("fn", "values")
 
-_UNSET = object()
+    def __init__(self, fn: RationalFunction):
+        self.fn, self.values = fn, []
+
+    def upto(self, m: int) -> list:
+        """The value list, extended in order to at least m points."""
+        vals = self.values
+        for j in range(len(vals), m):
+            try:
+                vals.append(self.fn.evaluate(_grid_point(j), pole_tol=1e-8))
+            except PoleError:
+                vals.append(None)
+        return vals
 
 
 class _SolverMemo:
-    """Edge ratios, tree products and their grid values for one category.
+    """Edge ratios, tree products and cycle residuals for one category.
 
-    An edge is keyed by the bits of its twist-edge ratio x (so 0.0 and -0.0
-    never share an entry) and a tree product by the keys along its path from
-    the component root.  A product is its tree parent's product times the
-    last edge ratio, the same multiplications in the same order as without a
-    memo, so every coefficient keeps its bits.  Grid values are kept per
-    coefficient bits, so each (function, grid point) is evaluated once, and
-    so is each cycle residual of the same three functions.
-    `classify_pairs` shares one memo between its solves and drops it when it
-    returns: a process-wide cache would hold su(2)_22's entries for the rest of
-    a session.
+    An edge (rho, a, b) reads the one edge ratio per bits of its twist-edge
+    ratio x (so 0.0 and -0.0 never share an entry), and a tree product is
+    kept per the edge ratios along its path from the component root.  A
+    product is its tree parent's product times the last edge ratio, the same
+    multiplications in the same order as without a memo, so every coefficient
+    keeps its bits.  Each entry is a `_Sampled`, evaluated at most once per
+    grid point, and each cycle residual of the same three entries is formed
+    once.  `classify_pairs` shares one memo between its solves and drops it
+    when it returns: a process-wide cache would hold su(2)_22's entries for
+    the rest of a session.
     """
 
     def __init__(self, cat: CategoryData):
         self.cat = cat
-        self.keys = {}            # (rho, a, b) -> bits of twist_edge_ratio
-        self.ratios = {}          # key -> (linear_ratio(x), grid values)
-        self.paths = {}           # tuple of keys -> (product, grid values)
-        self.grid = {}            # coefficient bits -> values by j: None at a pole, _UNSET unread
-        self.residuals = {}       # (ids of three grid-value lists, need) -> _cycle_residual
+        self.edges = {}           # (rho, a, b) -> the ratio entry of its x
+        self.ratios = {}          # bits of twist_edge_ratio x -> _Sampled linear_ratio(x)
+        self.paths = {}           # tuple of edge entries -> _Sampled product
+        self.residuals = {}       # (amp_a, amp_b, ratio, need) -> _cycle_residual
 
-    def _entry(self, fn):
-        return fn, self.grid.setdefault(_coeff_bits(fn), [])
-
-    def edge(self, rho, a, b) -> bytes:
-        key = self.keys.get((rho, a, b))
-        if key is None:
-            x = twist_edge_ratio(self.cat, rho, a, b)
-            key = self.keys[rho, a, b] = struct.pack("<dd", x.real, x.imag)
-            if key not in self.ratios:
-                self.ratios[key] = self._entry(RationalFunction.linear_ratio(x))
-        return key
-
-    def path(self, keys: tuple):
-        """(product of the edge ratios along `keys`, its grid values)."""
-        entry = self.paths.get(keys)
+    def edge(self, rho, a, b) -> _Sampled:
+        entry = self.edges.get((rho, a, b))
         if entry is None:
-            fn = (self.path(keys[:-1])[0] * self.ratios[keys[-1]][0] if keys
+            x = twist_edge_ratio(self.cat, rho, a, b)
+            key = struct.pack("<dd", x.real, x.imag)
+            if key not in self.ratios:
+                self.ratios[key] = _Sampled(RationalFunction.linear_ratio(x))
+            entry = self.edges[rho, a, b] = self.ratios[key]
+        return entry
+
+    def path(self, edges: tuple) -> _Sampled:
+        """The product of the edge ratios `edges`, in order."""
+        entry = self.paths.get(edges)
+        if entry is None:
+            fn = (self.path(edges[:-1]).fn * edges[-1].fn if edges
                   else RationalFunction.one())
-            entry = self.paths[keys] = self._entry(fn)
+            entry = self.paths[edges] = _Sampled(fn)
         return entry
 
     def residual(self, amp_a, amp_b, ratio, need: int):
-        """`_cycle_residual`, once per (coefficient bits of the three, need);
-        a grid-value list stands for its bits and lives as long as the memo."""
-        key = (id(amp_a[1]), id(amp_b[1]), id(ratio[1]), need)
+        """`_cycle_residual`, once per (amp_a, amp_b, ratio, need)."""
+        key = (amp_a, amp_b, ratio, need)
         out = self.residuals.get(key)
         if out is None:
             out = self.residuals[key] = _cycle_residual(amp_a, amp_b, ratio, need)
         return out
 
 
-def _grid_value(entry, j: int):
-    """The function of `entry` at grid point j, or None within 1e-8 of a pole."""
-    fn, vals = entry
-    if j >= len(vals):
-        vals.extend([_UNSET] * (j + 1 - len(vals)))
-    val = vals[j]
-    if val is _UNSET:
-        try:
-            val = fn.evaluate(_grid_point(j), pole_tol=1e-8)
-        except PoleError:
-            val = None
-        vals[j] = val
-    return val
-
-
 def _cycle_residual(amp_a, amp_b, ratio, need: int):
     """max |A_b - A_a r| over the first `need` grid points where none of the
-    three is at a pole, and the number taken; at most 200 * need points are
-    tried.  Each argument is a (function, grid values) memo entry."""
-    res, taken = 0.0, 0
-    for j in range(200 * need):
-        if taken == need:
+    three `_Sampled` is at a pole, and the number taken; at most 200 * need
+    points are tried, in windows that double from `need`."""
+    cap, window = 200 * need, need
+    while True:
+        rows = zip(amp_a.upto(window), amp_b.upto(window), ratio.upto(window))
+        off = [(va, vb, vr) for va, vb, vr in itertools.islice(rows, window)
+               if va is not None and vb is not None and vr is not None]
+        if len(off) >= need or window == cap:
             break
-        va = _grid_value(amp_a, j)
-        vb = None if va is None else _grid_value(amp_b, j)
-        vr = None if vb is None else _grid_value(ratio, j)
-        if vr is None:
-            continue
-        res = max(res, abs(vb - va * vr))
-        taken += 1
-    return res, taken
+        window = min(2 * window, cap)
+    off = off[:need]
+    return max([0.0] + [abs(vb - va * vr) for va, vb, vr in off]), len(off)
 
 
 def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
@@ -274,9 +264,10 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
     cycle through both routes below their last shared channel: a rational
     identity of degree at most E, sampled at 2E+1 off-pole points against
     `SOLVER_TOL`.  A `_SolverMemo` of `cat` (a fresh one unless `classify_pairs`
-    passes its own) forms each edge ratio, tree product, grid value and cycle
-    residual once per classify call.  Float sampling misjudges long cycles (ty
-    rho = X at even M >= 18, ROADMAP item 1).
+    passes its own) forms each edge ratio, tree product and cycle residual
+    once per classify call, and evaluates each ratio and product at most once
+    per grid point.  Float sampling misjudges long cycles (ty rho = X at even
+    M >= 18, ROADMAP item 1).
     """
     graph = build_tp_graph(cat, rho, phi)
     verts = graph.vertices
@@ -286,20 +277,20 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
         raise DomainError(f"unknown spanning-tree strategy {tree!r}")
     memo = _SolverMemo(cat) if _memo is None else _memo
     routes = {}                       # channel -> channels on its tree path from its root
-    keys = {}                         # channel -> edge keys along that path
-    amps = {}                         # channel -> (amplitude, grid values)
+    edges = {}                        # channel -> edge-ratio entries along that path
+    amps = {}                         # channel -> _Sampled amplitude
     for start in (reference, *verts):
         if start in routes:
             continue
-        routes[start], keys[start], amps[start] = (start,), (), memo.path(())
+        routes[start], edges[start], amps[start] = (start,), (), memo.path(())
         pending = [start]
         while pending:
             v = pending.pop(0) if tree == "bfs" else pending.pop()
             for w in graph.neighbours(v):
                 if w not in routes:
                     routes[w] = routes[v] + (w,)
-                    keys[w] = keys[v] + (memo.edge(graph.rho, v, w),)
-                    amps[w] = memo.path(keys[w])
+                    edges[w] = edges[v] + (memo.edge(graph.rho, v, w),)
+                    amps[w] = memo.path(edges[w])
                     pending.append(w)
     components = tuple(sorted(tuple(sorted(v for v in verts if routes[v][0] == root))
                               for root in {r[0] for r in routes.values()}))
@@ -310,8 +301,7 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
         ra, rb = routes[a], routes[b]
         if ra == rb[:-1] or rb == ra[:-1]:
             continue                  # a tree edge
-        res, taken = memo.residual(amps[a], amps[b],
-                                   memo.ratios[memo.edge(graph.rho, a, b)], nsamp)
+        res, taken = memo.residual(amps[a], amps[b], memo.edge(graph.rho, a, b), nsamp)
         meet = len(set(ra) & set(rb)) - 1          # index of the last shared channel
         cycles.append(CycleCheck(tuple(sorted({*ra[meet:], *rb[meet:]})), (a, b), res, taken))
 
@@ -321,7 +311,7 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
         verdict = UNDERDETERMINED
     else:
         verdict = CYCLE_CONSISTENT if cycles else TREE_UNIQUE
-    funcs = {v: fn for v, (fn, _) in amps.items()}
+    funcs = {v: amp.fn for v, amp in amps.items()}
     return AmplitudeSolution(cat, graph, reference, verts, funcs, verdict,
                              components, tuple(cycles))
 

@@ -877,6 +877,11 @@ def category_from_json(text: str) -> CategoryData:
     name = _doc_get(doc, "name", str)
     string = (lambda s: isinstance(s, str), "expected a string")
     texts = _check_each("labels", _doc_get(doc, "labels"), *string)
+    first = {}
+    for i, s in enumerate(texts):
+        if first.setdefault(s, i) != i:
+            raise DomainError(f"category JSON labels[{i}] = {s!r}: given twice "
+                              f"(labels[{first[s]}])")
     labels = tuple(ObjectLabel(i, s) for i, s in enumerate(texts))
     n = len(labels)
     label = (lambda a: _is_label(a, n), f"label not in 0..{n - 1}")

@@ -693,6 +693,8 @@ def test_memoised_classify_matches_the_memo_free_solver_bit_for_bit(monkeypatch)
 
 
 def test_classify_evaluates_each_function_once_per_grid_point(monkeypatch):
+    # each edge ratio and tree product of the solver memo is one function
+    # object, so keying the calls by object counts each entry's reads of a point
     cat = bx.build_su2k(22)
     rho, phi = 2, 2
     alone = json.dumps(bx.solve_central(cat, rho, phi).to_dict())
@@ -700,7 +702,7 @@ def test_classify_evaluates_each_function_once_per_grid_point(monkeypatch):
     real = bx.RationalFunction.evaluate
 
     def counting(fn, mu, pole_tol=1e-12):
-        calls.append((tuple(map(_bits, fn.num)), tuple(map(_bits, fn.den)), _bits(mu)))
+        calls.append((fn, _bits(mu)))
         return real(fn, mu, pole_tol)
     monkeypatch.setattr(bx.RationalFunction, "evaluate", counting)
     rows = bx.classify_pairs(cat)
@@ -709,6 +711,58 @@ def test_classify_evaluates_each_function_once_per_grid_point(monkeypatch):
     monkeypatch.undo()
     # no state outlives a call: a solve after a classify call is the solve alone
     assert json.dumps(bx.solve_central(cat, rho, phi).to_dict()) == alone
+
+
+def _per_point_residual(fns, need, point):
+    """Reference: the cycle residual one grid point at a time, skipping a
+    point where any of the three functions is within 1e-8 of a pole."""
+    res, taken = 0.0, 0
+    for j in range(200 * need):
+        if taken == need:
+            break
+        try:
+            va, vb, vr = (fn.evaluate(point(j), pole_tol=1e-8) for fn in fns)
+        except PoleError:
+            continue
+        res = max(res, abs(vb - va * vr))
+        taken += 1
+    return res, taken
+
+
+def test_cycle_residual_skips_pole_points_as_the_per_point_loop(monkeypatch):
+    # grid points forced onto a pole of one of the three functions, scattered
+    # or in one run, which may end before or after the last of the 200 * need
+    # points tried, so that fewer than `need` points may survive
+    baxterize = bx.baxterize
+    real = baxterize._grid_point
+    rng = np.random.default_rng(3)
+    lr = bx.RationalFunction.linear_ratio
+    short = 0
+    for case in range(300):
+        xs = [complex(cmath.exp(2j * math.pi * rng.uniform())) for _ in range(3)]
+        amp_a = lr(xs[0]) * lr(xs[1])
+        ratio = lr(xs[2])
+        amp_b = amp_a * ratio if case % 2 else amp_a * lr(-xs[2])    # consistent or not
+        fns = (amp_a, amp_b, ratio)
+        need = int(rng.integers(1, 8))
+        poles = [p for fn in fns for p in fn.poles()]
+        run = range(0)
+        if case % 3 == 0:
+            start = int(rng.integers(0, 2 * need))
+            run = range(start, start + int(rng.integers(100 * need, 300 * need)))
+        forced = {int(j): poles[rng.integers(len(poles))]
+                  for j in rng.integers(0, 6 * need, size=int(rng.integers(0, 4 * need)))}
+
+        def point(j, forced=forced, run=run, poles=poles):
+            if j in run:
+                return poles[j % len(poles)]
+            return forced.get(j, real(j))
+        monkeypatch.setattr(baxterize, "_grid_point", point)
+        got = baxterize._cycle_residual(*map(baxterize._Sampled, fns), need)
+        want = _per_point_residual(fns, need, point)
+        assert struct.pack("<dq", *got) == struct.pack("<dq", *want), (case, got, want)
+        short += got[1] < need
+    assert short > 20, short
 
 
 def test_classify_memo_keeps_the_edge_ratios_of_each_rho_apart(monkeypatch):

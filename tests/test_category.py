@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import baxcat as bx
-from baxcat.category import (FSymbolTable, FusionRules, _pentagon_residual,
+from baxcat.category import (FSymbolTable, FusionRules, _f0_residual, _pentagon_residual,
                              _phase, _unitarity_residual, _usefulid_residual)
 from baxcat.report import fmt_complex
 from baxcat.errors import AxiomError, CapabilityError, DomainError
@@ -364,6 +364,8 @@ def _set(key, i, val):
     (lambda doc: doc.pop("nu"), "'nu'"),
     (lambda doc: doc.pop("dual"), "'dual'"),
     (_set("labels", 1, 7), "labels[1]"),
+    # a second "0" would leave label 1 without a name
+    (_set("labels", 1, "0"), "labels[1] = '0': given twice (labels[0])"),
     (lambda doc: doc["Delta"].pop(), "'Delta'"),
     (_set("Delta", 2, "1/x"), "Delta[2]"),
     (_set("nu", 3, [1, 0]), "nu[3]"),
@@ -410,7 +412,7 @@ def _set(key, i, val):
     # N_{1/2 1/2}^{1/2} = 0, so no entry of [F^{1/2 1/2 1/2}_{1/2}] has u = 1/2
     (lambda doc: doc["F"].append([1, 1, 1, 1, 1, 1, ["1", "0"]]), "F[36]", AxiomError),
     (lambda doc: doc["F"].insert(3, [0, 1, 1, 0, 1, 2, ["0", "0"]]), "F[3]", AxiomError),
-], ids=["no-labels", "no-name", "no-Delta", "no-nu", "no-dual", "label-not-str",
+], ids=["no-labels", "no-name", "no-Delta", "no-nu", "no-dual", "label-not-str", "labels-twice",
         "short-Delta", "bad-Delta", "short-nu", "nu-label", "nu-sign", "N-label",
         "N-negative", "short-N", "N-not-list", "short-dual", "dual-label", "bad-d",
         "d-inf", "d-negative", "d-zero", "short-d", "short-F", "F-label", "F-value", "F-nan",
@@ -550,6 +552,37 @@ def literal_rotation(cat):
     return out
 
 
+def literal_special_values(cat):
+    """{tag: special-value residual} in loop order: per (a, r), the blocks
+    [F^{a r 0}_b] (1 for an absent one), then the s0 entries [F^{a r r}_a]_{b 0};
+    then the 0s entries [F^{r r r}_r]_{0 s}."""
+    rules, d = cat.rules, cat.dims.d
+    selfdual = [rules.dual[x] == x for x in range(cat.n_objects)]
+
+    def fv(*labels):
+        v = cat.f.block_value(*labels)
+        return 0j if v is None else v
+
+    out = {}
+    for a, r in itertools.product(range(cat.n_objects), repeat=2):
+        for b in rules.fusion(a, r):
+            block = cat.f.blocks.get((a, r, 0, b))
+            if block is None:
+                out[(a, r, b, "missing")] = 1.0
+                continue
+            us, vs, mat = block
+            out[(a, r, b)] = max(abs(complex(mat[i, j]) - (u == b and v == r))
+                                 for i, u in enumerate(us) for j, v in enumerate(vs))
+        for b in rules.fusion(a, r):
+            out[(a, r, b, "s0")] = (abs(fv(a, r, r, a, b, 0) - math.sqrt(d[b] / (d[a] * d[r])))
+                                    if selfdual[r] else 0.0)
+    for r in range(cat.n_objects):
+        if selfdual[r]:
+            for s in rules.fusion(r, r):
+                out[(r, s, "0s")] = abs(fv(r, r, r, r, 0, s) - math.sqrt(d[s] / (d[r] * d[r])))
+    return out
+
+
 def _first_worst(residuals):
     worst, where = 0.0, None
     for tup, r in residuals.items():
@@ -566,6 +599,7 @@ _ORACLE_CASES = ([bx.build_su2k(k) for k in range(2, 7)]
 @pytest.mark.parametrize("cat", _ORACLE_CASES, ids=lambda c: c.name)
 def test_identity_checks_match_the_literal_loops(cat):
     for literal, fast in ((literal_pentagon, _pentagon_residual),
+                          (literal_special_values, _f0_residual),
                           (literal_rotation, _usefulid_residual)):
         residuals = literal(cat)
         worst, where = fast(cat, cat.f)
@@ -573,6 +607,57 @@ def test_identity_checks_match_the_literal_loops(cat):
         assert abs(worst - top) < 1e-14
         if where is not None:
             assert residuals[where] > top - 1e-15
+
+
+def _with_block(cat, key, edit):
+    """cat with F block `key` replaced by edit(us, vs, mat copy), or dropped
+    when edit is None."""
+    blocks = dict(cat.f.blocks)
+    us, vs, mat = blocks.pop(key)
+    if edit is not None:
+        blocks[key] = edit(us, vs, mat.copy())
+    return cat.replace(f=FSymbolTable(blocks))
+
+
+def _scaled(u, v):
+    def edit(us, vs, mat):
+        mat[us.index(u), vs.index(v)] *= 1.5 + 0.25j
+        return us, vs, mat
+    return edit
+
+
+def _special_value_corruptions():
+    """One corruption per worst-tuple tag: the block key, its edit and the tuple."""
+    ty, X = bx.build_tambara_yamagami(5), 5               # the self-dual X of ty_5
+    for cat, r, b, s in ((bx.build_su2k(4), 1, 2, 2), (bx.build_minimal_A(4), 1, 2, 2),
+                         (ty, X, 2, 2)):
+        for tag, key, edit, where in (
+                ("entry", (r, r, 0, b), _scaled(b, r), (r, r, b)),   # an [F^{a r 0}_b] entry
+                ("missing", (r, r, 0, b), None, (r, r, b, "missing")),
+                ("s0", (r, r, r, r), _scaled(b, 0), (r, r, b, "s0")),  # [F^{a r r}_a]_{b 0}
+                ("0s", (r, r, r, r), _scaled(0, s), (r, s, "0s"))):    # [F^{r r r}_r]_{0 s}
+            yield pytest.param(cat, key, edit, where, id=f"{cat.name}-{tag}")
+
+
+@pytest.mark.parametrize("cat, key, edit, where", _special_value_corruptions())
+def test_special_values_find_the_literal_worst_tuple_of_a_corruption(cat, key, edit, where):
+    bad = _with_block(cat, key, edit)
+    want = _first_worst(literal_special_values(bad))
+    assert want[1] == where and want[0] > 0.1
+    got, got_where = _f0_residual(bad, bad.f)
+    assert got_where == where and abs(got - want[0]) < 1e-12
+
+
+def test_an_empty_f_table_round_trips_and_fails_only_special_values():
+    doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
+    doc["F"] = []
+    text = json.dumps(doc, indent=1)
+    cat = bx.category_from_json(text)
+    assert bx.category_to_json(cat) == text
+    assert bx.category_to_json(bx.category_from_json(bx.category_to_json(cat))) == text
+    checks = {c.name: c for c in bx.check_f_identities(cat).checks}
+    assert [name for name, c in checks.items() if not c.passed] == ["special_values"]
+    assert checks["special_values"].details == {"worst_tuple": [0, 0, 0, "missing"]}
 
 
 def _corrupted(cat, seed, count):

@@ -179,6 +179,33 @@ def test_ybe_and_transfer_state_where_the_worst_residual_occurred(monkeypatch):
         assert check.to_dict()["details"]["worst_at"] == [fmt_complex(mu1), fmt_complex(mu2)]
 
 
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_worst_over_pairs_redraws_a_pair_that_hits_a_pole(k):
+    draws = []
+
+    def residual(mu1, mu2):
+        draws.append((mu1, mu2))
+        if len(draws) <= k:
+            raise bx.PoleError("forced", pole=mu1)
+        return abs(mu1 - mu2)
+    worst, at, skipped = verify_mod._worst_over_pairs(residual, 5, 17, [])
+    assert skipped == k and len(draws) == k + 5
+    kept = draws[k:]
+    assert worst == max(abs(a - b) for a, b in kept)
+    assert at == max(kept, key=lambda p: abs(p[0] - p[1]))
+
+
+def test_worst_over_pairs_gives_up_after_50_redraws_per_sample():
+    draws = []
+
+    def residual(mu1, mu2):
+        draws.append((mu1, mu2))
+        raise bx.PoleError("forced", pole=mu1)
+    with pytest.raises(bx.PoleError):
+        verify_mod._worst_over_pairs(residual, 3, 17, [])
+    assert len(draws) == 50 * 3 + 1
+
+
 def test_transfer_size_guard():
     # the periodic basis is counted exactly and refused over the dense budget
     # before it is built: L = 10 has 246 states, L = 100 about 1.6e21
