@@ -12,9 +12,13 @@ closing identity against `SOLVER_TOL` on one shared grid of points.  That
 decision fails on long cycles: for ty with rho = X it calls consistent pairs
 INCONSISTENT at every even M >= 18 (ROADMAP item 1, exact amplitudes).
 
-A solver memo keyed by the exact bits of the twist-edge ratios forms each
-edge ratio, tree product and cycle residual once per classify call, and
-evaluates each of its entries at most once per grid point.
+`solve_central` and `classify_pairs` share one walk of the spanning tree and
+one verdict rule.  `solve_central` measures every cycle's residual for its
+report; `classify_pairs` only needs verdicts, so it reads each cycle's grid
+points until the first failing one, skips a pair's other cycles once one
+fails, and builds no solution.  A solver memo keyed by the exact bits of the
+twist-edge ratios forms each spin phase, edge ratio and tree product once per
+call, and evaluates each of its entries at most once per grid point.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ import itertools
 import math
 import struct
 
-from .category import CategoryData, fusion_product, twist_edge_ratio
+from .category import (CategoryData, _phase, fusion_product, twist_edge_ratio,
+                       twist_edge_sign)
 from .errors import DomainError, PoleError
 from .ratfunc import RationalFunction
 from .record import record
@@ -56,8 +61,17 @@ class TensorProductGraph:
     edges: tuple
     directed: tuple
 
+    @functools.cached_property
+    def adjacency(self) -> dict:
+        """Channel -> its neighbours, sorted, from one pass over the edges."""
+        adj = {v: set() for v in self.vertices}
+        for x, y in self.edges:
+            adj[x].add(y)
+            adj[y].add(x)
+        return {v: tuple(sorted(ws)) for v, ws in adj.items()}
+
     def neighbours(self, a):
-        return sorted({y if x == a else x for x, y in self.edges if a in (x, y)})
+        return list(self.adjacency.get(a, ()))
 
 
 @record(frozen=True)
@@ -133,8 +147,8 @@ def build_tp_graph(cat: CategoryData, rho, phi) -> TensorProductGraph:
                 f"current termination fails: {cat.display(rho)} is not in "
                 f"{cat.display(phi)} x {cat.display(rho)}")
         verts = _channels_of(cat, rho)
-        pairs = [(a, b) for a, b in itertools.product(verts, repeat=2)
-                 if cat.rules.admits(a, phi, b)]
+        prods, channels = cat.rules.products, set(verts)
+        pairs = [(a, b) for a in verts for b in prods[a][phi] if b in channels]
     else:
         if cat.tp_adjacency is None or phi not in cat.tp_adjacency:
             raise DomainError(f"{cat.name}: no declared tensor-product graph for phi="
@@ -149,8 +163,9 @@ def build_tp_graph(cat: CategoryData, rho, phi) -> TensorProductGraph:
                     f"{cat.display(rho)} x {cat.display(rho)}")
     directed = tuple((a, b) for a, b in pairs if a != b)
     # canonical edge list: (min, max) unless only the reverse is admissible
-    edges = tuple(e if e in directed else e[::-1]
-                  for e in sorted({(min(e), max(e)) for e in directed}))
+    have = set(directed)
+    edges = tuple(e if e in have else e[::-1]
+                  for e in sorted({(a, b) if a < b else (b, a) for a, b in directed}))
     return TensorProductGraph(rho, phi, verts, edges, directed)
 
 
@@ -176,6 +191,11 @@ class _Sampled:
     def __init__(self, fn: RationalFunction):
         self.fn, self.values = fn, []
 
+    def at(self, j: int):
+        """The value at grid point j."""
+        vals = self.values
+        return vals[j] if j < len(vals) else self.upto(j + 1)[j]
+
     def upto(self, m: int) -> list:
         """The value list, extended in order to at least m points."""
         vals = self.values
@@ -188,31 +208,37 @@ class _Sampled:
 
 
 class _SolverMemo:
-    """Edge ratios, tree products and cycle residuals for one category.
+    """Spin phases, edge ratios and tree products for one category.
 
-    An edge (rho, a, b) reads the one edge ratio per bits of its twist-edge
-    ratio x (so 0.0 and -0.0 never share an entry), and a tree product is
-    kept per the edge ratios along its path from the component root.  A
-    product is its tree parent's product times the last edge ratio, the same
-    multiplications in the same order as without a memo, so every coefficient
-    keeps its bits.  Each entry is a `_Sampled`, evaluated at most once per
-    grid point, and each cycle residual of the same three entries is formed
-    once.  `classify_pairs` shares one memo between its solves and drops it
-    when it returns: a process-wide cache would hold su(2)_22's entries for
-    the rest of a session.
+    A phase exp(i pi (Delta_b - Delta_a)) is formed once per channel pair
+    (a, b) and multiplied by each rho's nu signs, as `twist_edge_ratio`
+    multiplies them.  An edge (rho, a, b) reads the one edge ratio per bits of
+    its twist-edge ratio x (so 0.0 and -0.0 never share an entry), and a tree
+    product is kept per the edge ratios along its path from the component
+    root.  A product is its tree parent's product times the last edge ratio,
+    the same multiplications in the same order as without a memo, so every
+    coefficient keeps its bits.  Each entry is a `_Sampled`, evaluated at most
+    once per grid point.  `classify_pairs` shares one memo between its pairs
+    and drops it when it returns: a process-wide cache would hold su(2)_22's
+    entries for the rest of a session.
     """
 
     def __init__(self, cat: CategoryData):
         self.cat = cat
+        self.phases = {}          # (a, b) -> exp(i pi (Delta_b - Delta_a))
         self.edges = {}           # (rho, a, b) -> the ratio entry of its x
         self.ratios = {}          # bits of twist_edge_ratio x -> _Sampled linear_ratio(x)
         self.paths = {}           # tuple of edge entries -> _Sampled product
-        self.residuals = {}       # (amp_a, amp_b, ratio, need) -> _cycle_residual
 
     def edge(self, rho, a, b) -> _Sampled:
         entry = self.edges.get((rho, a, b))
         if entry is None:
-            x = twist_edge_ratio(self.cat, rho, a, b)
+            sign = twist_edge_sign(self.cat, rho, a, b)
+            phase = self.phases.get((a, b))
+            if phase is None:
+                sp = self.cat.twists.spin
+                phase = self.phases[a, b] = _phase(sp(b) - sp(a))
+            x = sign * phase
             key = struct.pack("<dd", x.real, x.imag)
             if key not in self.ratios:
                 self.ratios[key] = _Sampled(RationalFunction.linear_ratio(x))
@@ -228,13 +254,45 @@ class _SolverMemo:
             entry = self.paths[edges] = _Sampled(fn)
         return entry
 
-    def residual(self, amp_a, amp_b, ratio, need: int):
-        """`_cycle_residual`, once per (amp_a, amp_b, ratio, need)."""
-        key = (amp_a, amp_b, ratio, need)
-        out = self.residuals.get(key)
-        if out is None:
-            out = self.residuals[key] = _cycle_residual(amp_a, amp_b, ratio, need)
-        return out
+    def walk(self, graph: TensorProductGraph, tree: str):
+        """The spanning-tree walk of `graph` from its reference channel (0,
+        else the least channel), then from each unreached channel in order.
+
+        Returns (reference, routes, amps, components, closing): each channel's
+        route (the channels on its tree path from its root) and `_Sampled`
+        amplitude, the components as sorted tuples, and the edges that close
+        a cycle, in edge order.
+        """
+        if tree not in ("bfs", "dfs"):
+            raise DomainError(f"unknown spanning-tree strategy {tree!r}")
+        verts, rho = graph.vertices, graph.rho
+        reference = 0 if 0 in verts else min(verts)
+        routes = {}                       # channel -> channels on its tree path from its root
+        edges = {}                        # channel -> edge-ratio entries along that path
+        amps = {}                         # channel -> _Sampled amplitude
+        for start in (reference, *verts):
+            if start in routes:
+                continue
+            routes[start], edges[start], amps[start] = (start,), (), self.path(())
+            pending = [start]
+            while pending:
+                v = pending.pop(0) if tree == "bfs" else pending.pop()
+                for w in graph.adjacency[v]:
+                    if w not in routes:
+                        routes[w] = routes[v] + (w,)
+                        edges[w] = edges[v] + (self.edge(rho, v, w),)
+                        amps[w] = self.path(edges[w])
+                        pending.append(w)
+        components = tuple(sorted(tuple(sorted(v for v in verts if routes[v][0] == root))
+                                  for root in {r[0] for r in routes.values()}))
+        closing = [(a, b) for a, b in graph.edges       # all but the tree edges
+                   if routes[a] != routes[b][:-1] and routes[b] != routes[a][:-1]]
+        return reference, routes, amps, components, closing
+
+
+def _samples_needed(graph: TensorProductGraph) -> int:
+    """2E + 1 off-pole points decide a closing identity of degree at most E."""
+    return 2 * max(1, len(graph.edges)) + 1
 
 
 def _cycle_residual(amp_a, amp_b, ratio, need: int):
@@ -253,8 +311,33 @@ def _cycle_residual(amp_a, amp_b, ratio, need: int):
     return max([0.0] + [abs(vb - va * vr) for va, vb, vr in off]), len(off)
 
 
-def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
-                  _memo: _SolverMemo | None = None) -> AmplitudeSolution:
+def _cycle_fails(amp_a, amp_b, ratio, need: int) -> bool:
+    """`_cycle_residual(...)[0] >= SOLVER_TOL`, read one grid point at a time:
+    the same points in the same order, stopping at the first failing one.  A
+    NaN difference never fails, as `max` passes over it."""
+    taken = 0
+    for j in range(200 * need):
+        va, vb, vr = amp_a.at(j), amp_b.at(j), ratio.at(j)
+        if va is None or vb is None or vr is None:
+            continue
+        if abs(vb - va * vr) >= SOLVER_TOL:
+            return True
+        taken += 1
+        if taken == need:
+            break
+    return False
+
+
+def _verdict(inconsistent: bool, components: tuple, n_cycles: int) -> str:
+    """A pair's verdict from its cycle decision, components and cycle count."""
+    if inconsistent:
+        return INCONSISTENT
+    if len(components) > 1:
+        return UNDERDETERMINED
+    return CYCLE_CONSISTENT if n_cycles else TREE_UNIQUE
+
+
+def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSolution:
     """Propagate amplitude ratios over a spanning tree and classify the rest.
 
     The reference channel (0, else the least channel) seeds its component, so
@@ -263,56 +346,24 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs", *,
     along it.  An edge (a, b) where neither route extends the other closes a
     cycle through both routes below their last shared channel: a rational
     identity of degree at most E, sampled at 2E+1 off-pole points against
-    `SOLVER_TOL`.  A `_SolverMemo` of `cat` (a fresh one unless `classify_pairs`
-    passes its own) forms each edge ratio, tree product and cycle residual
-    once per classify call, and evaluates each ratio and product at most once
-    per grid point.  Float sampling misjudges long cycles (ty rho = X at even
-    M >= 18, ROADMAP item 1).
+    `SOLVER_TOL`, each cycle's residual measured in full.  A fresh
+    `_SolverMemo` forms each phase, edge ratio and tree product once and
+    evaluates each at most once per grid point.  Float sampling misjudges
+    long cycles (ty rho = X at even M >= 18, ROADMAP item 1).
     """
     graph = build_tp_graph(cat, rho, phi)
-    verts = graph.vertices
-    reference = 0 if 0 in verts else min(verts)
-
-    if tree not in ("bfs", "dfs"):
-        raise DomainError(f"unknown spanning-tree strategy {tree!r}")
-    memo = _SolverMemo(cat) if _memo is None else _memo
-    routes = {}                       # channel -> channels on its tree path from its root
-    edges = {}                        # channel -> edge-ratio entries along that path
-    amps = {}                         # channel -> _Sampled amplitude
-    for start in (reference, *verts):
-        if start in routes:
-            continue
-        routes[start], edges[start], amps[start] = (start,), (), memo.path(())
-        pending = [start]
-        while pending:
-            v = pending.pop(0) if tree == "bfs" else pending.pop()
-            for w in graph.neighbours(v):
-                if w not in routes:
-                    routes[w] = routes[v] + (w,)
-                    edges[w] = edges[v] + (memo.edge(graph.rho, v, w),)
-                    amps[w] = memo.path(edges[w])
-                    pending.append(w)
-    components = tuple(sorted(tuple(sorted(v for v in verts if routes[v][0] == root))
-                              for root in {r[0] for r in routes.values()}))
-
-    nsamp = 2 * max(1, len(graph.edges)) + 1
+    memo = _SolverMemo(cat)
+    reference, routes, amps, components, closing = memo.walk(graph, tree)
+    need = _samples_needed(graph)
     cycles = []
-    for a, b in graph.edges:
+    for a, b in closing:
+        res, taken = _cycle_residual(amps[a], amps[b], memo.edge(graph.rho, a, b), need)
         ra, rb = routes[a], routes[b]
-        if ra == rb[:-1] or rb == ra[:-1]:
-            continue                  # a tree edge
-        res, taken = memo.residual(amps[a], amps[b], memo.edge(graph.rho, a, b), nsamp)
         meet = len(set(ra) & set(rb)) - 1          # index of the last shared channel
         cycles.append(CycleCheck(tuple(sorted({*ra[meet:], *rb[meet:]})), (a, b), res, taken))
-
-    if any(c.residual >= SOLVER_TOL for c in cycles):
-        verdict = INCONSISTENT
-    elif len(components) > 1:
-        verdict = UNDERDETERMINED
-    else:
-        verdict = CYCLE_CONSISTENT if cycles else TREE_UNIQUE
+    verdict = _verdict(any(c.residual >= SOLVER_TOL for c in cycles), components, len(cycles))
     funcs = {v: amp.fn for v, amp in amps.items()}
-    return AmplitudeSolution(cat, graph, reference, verts, funcs, verdict,
+    return AmplitudeSolution(cat, graph, reference, graph.vertices, funcs, verdict,
                              components, tuple(cycles))
 
 
@@ -336,13 +387,24 @@ class ClassifyRow:
 
 
 def classify_pairs(cat: CategoryData):
-    """Verdict of solve_central for every simple rho and admissible phi != 0."""
+    """Verdict of solve_central for every simple rho and admissible phi != 0.
+
+    The pairs share one `_SolverMemo`; a pair's cycles are read with
+    `_cycle_fails` until one fails, and no `AmplitudeSolution` is built.
+    """
     if cat.rules is not None:
         pairs = [(rho, phi) for rho in range(cat.n_objects) for phi in range(1, cat.n_objects)
                  if cat.rules.admits(phi, rho, rho)]
     else:
         pairs = [(cat.rho_declared, phi) for phi in sorted(cat.tp_adjacency)]
     memo = _SolverMemo(cat)
-    sols = (solve_central(cat, rho, phi, _memo=memo) for rho, phi in pairs)
-    return [ClassifyRow(s.rho, s.phi, s.verdict, len(s.graph.vertices), len(s.graph.edges),
-                        len(s.cycles)) for s in sols]
+    rows = []
+    for rho, phi in pairs:
+        graph = build_tp_graph(cat, rho, phi)
+        _, _, amps, components, closing = memo.walk(graph, "bfs")
+        need = _samples_needed(graph)
+        fails = any(_cycle_fails(amps[a], amps[b], memo.edge(graph.rho, a, b), need)
+                    for a, b in closing)
+        rows.append(ClassifyRow(graph.rho, graph.phi, _verdict(fails, components, len(closing)),
+                                len(graph.vertices), len(graph.edges), len(closing)))
+    return rows

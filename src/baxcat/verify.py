@@ -153,6 +153,7 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
         params={"category": cat.name, "rho": cat.display(rho), "phi": cat.display(phi)},
         seed=seed)
     worst, where = 0.0, None
+    amps = {ch: [amplitude_at(solution, ch, mu) for mu in mus] for ch in solution.channels}
     for a, b in solution.graph.directed:
         f1 = cat.f.block_value(rho, phibar, b, rho, rho, a)
         f2 = cat.f.block_value(rho, a, phi, rho, rho, b)
@@ -160,9 +161,9 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
             raise DomainError(f"edge ({cat.display(a)}, {cat.display(b)}): vertex "
                               f"F-symbols inadmissible")
         ratio = 1.0 / twist_edge_ratio(cat, rho, a, b)   # W_a / W_b
-        for mu in mus:
-            lhs = amplitude_at(solution, b, mu) * math.sqrt(d[b]) * f1 * (ratio + mu)
-            rhs = amplitude_at(solution, a, mu) * math.sqrt(d[a]) * f2 * (1 + mu * ratio)
+        for mu, amp_a, amp_b in zip(mus, amps[a], amps[b]):
+            lhs = amp_b * math.sqrt(d[b]) * f1 * (ratio + mu)
+            rhs = amp_a * math.sqrt(d[a]) * f2 * (1 + mu * ratio)
             r = abs(lhs - rhs)
             if r > worst:
                 worst, where = r, (cat.display(a), cat.display(b))

@@ -601,7 +601,7 @@ def _memo_free_solve(cat, rho, phi):
         funcs[start] = bx.RationalFunction.one()
         while pending:
             v = pending.pop(0)
-            for w in graph.neighbours(v):
+            for w in sorted({y if x == v else x for x, y in graph.edges if v in (x, y)}):
                 if w not in funcs:
                     funcs[w] = funcs[v] * ratio(v, w)
                     parent[w] = v
@@ -648,43 +648,48 @@ def _memo_free_solve(cat, rho, phi):
                                        tuple(sorted(components)), tuple(cycles))
 
 
-def _recording_solves(monkeypatch):
-    """Every solution `classify_pairs` computes, in order."""
-    sols = []
-    real = bx.baxterize.solve_central
+def _recording_walks(monkeypatch):
+    """(graph, amplitude functions) of every spanning-tree walk, in order."""
+    walks = []
+    real = bx.baxterize._SolverMemo.walk
 
-    def recording(*args, **kwargs):
-        sols.append(real(*args, **kwargs))
-        return sols[-1]
-    monkeypatch.setattr(bx.baxterize, "solve_central", recording)
-    return sols
+    def recording(memo, graph, tree):
+        out = real(memo, graph, tree)
+        walks.append((graph, {v: amp.fn for v, amp in out[2].items()}))
+        return out
+    monkeypatch.setattr(bx.baxterize._SolverMemo, "walk", recording)
+    return walks
 
 
-def test_memoised_classify_matches_the_memo_free_solver_bit_for_bit(monkeypatch):
+def _same_bits(f, g):
+    return (tuple(map(_bits, f.num + f.den)) == tuple(map(_bits, g.num + g.den))
+            and f.poles() == g.poles())
+
+
+def test_classify_and_solve_match_the_memo_free_solver_bit_for_bit():
     cats = ([bx.build_su2k(k) for k in (*range(1, 11), 22, 32)]
             + [bx.build_minimal_A(k) for k in range(1, 9)]
             + [bx.build_tambara_yamagami(M) for M in (5, *range(16, 33))]
             + [bx.build_family("so", n=5, k=2), bx.build_family("sp", m=3, k=1),
                bx.build_family("g2", k=2)])
-    sols = _recording_solves(monkeypatch)
     inconsistent = {}
     cycles = 0
     for cat in cats:
-        sols.clear()
-        rows = bx.classify_pairs(cat)
-        assert len(sols) == len(rows)
-        for row, sol in zip(rows, sols):
+        for row in bx.classify_pairs(cat):
             expect = _memo_free_solve(cat, row.rho, row.phi)
+            g = expect.graph
+            assert (row.verdict, row.n_vertices, row.n_edges, row.n_cycles) == (
+                expect.verdict, len(g.vertices), len(g.edges), len(expect.cycles)), (cat.name, row)
+            sol = bx.solve_central(cat, row.rho, row.phi)
             assert sol.to_dict() == expect.to_dict(), (cat.name, row)
             for ch in sol.channels:
-                assert (tuple(map(_bits, sol.funcs[ch].num + sol.funcs[ch].den))
-                        == tuple(map(_bits, expect.funcs[ch].num + expect.funcs[ch].den)))
+                assert _same_bits(sol.funcs[ch], expect.funcs[ch]), (cat.name, row, ch)
             assert ([(c.closing_edge, struct.pack("<d", c.residual), c.samples)
                      for c in sol.cycles]
                     == [(c.closing_edge, struct.pack("<d", c.residual), c.samples)
                         for c in expect.cycles]), (cat.name, row)
             cycles += len(sol.cycles)
-            if sol.verdict == INCONSISTENT:
+            if row.verdict == INCONSISTENT:
                 inconsistent.setdefault(cat.name, []).append((row.rho, row.phi))
     assert cycles > 500
     # the known wrong float verdicts (ROADMAP item 1) do not move
@@ -707,7 +712,9 @@ def test_classify_evaluates_each_function_once_per_grid_point(monkeypatch):
     monkeypatch.setattr(bx.RationalFunction, "evaluate", counting)
     rows = bx.classify_pairs(cat)
     assert any(r.n_cycles for r in rows)
-    assert len(calls) == len(set(calls)) > 1000
+    # the verdicts stop at each cycle's first failing point: 333 calls, not
+    # the 6,533 of measuring every cycle in full
+    assert 0 < len(calls) == len(set(calls)) <= 400
     monkeypatch.undo()
     # no state outlives a call: a solve after a classify call is the solve alone
     assert json.dumps(bx.solve_central(cat, rho, phi).to_dict()) == alone
@@ -765,6 +772,68 @@ def test_cycle_residual_skips_pole_points_as_the_per_point_loop(monkeypatch):
     assert short > 20, short
 
 
+def test_cycle_verdict_stops_at_the_first_failing_point_of_the_full_residual(monkeypatch):
+    # the harness above, with cycles that fail at some grid points only and
+    # a NaN or an infinite grid value put into some cases
+    baxterize = bx.baxterize
+    real = baxterize._grid_point
+    rng = np.random.default_rng(4)
+    lr = bx.RationalFunction.linear_ratio
+    seen = {True: 0, False: 0}
+    late = inf_fails = 0
+    for case in range(400):
+        xs = [complex(cmath.exp(2j * math.pi * rng.uniform())) for _ in range(3)]
+        amp_a = lr(xs[0]) * lr(xs[1])
+        ratio = lr(xs[2])
+        # consistent, inconsistent, or off by a twist near the tolerance
+        tilt = (0.0, 1.0, 10 ** rng.uniform(-10.5, -8.5))[case % 3]
+        amp_b = amp_a * lr(xs[2] * cmath.exp(1j * tilt)) if tilt != 1.0 else amp_a * lr(-xs[2])
+        fns = (amp_a, amp_b, ratio)
+        need = int(rng.integers(1, 8))
+        poles = [p for fn in fns for p in fn.poles()]
+        run = range(0)
+        if case % 4 == 0:
+            start = int(rng.integers(0, 2 * need))
+            run = range(start, start + int(rng.integers(100 * need, 300 * need)))
+        forced = {int(j): poles[rng.integers(len(poles))]
+                  for j in rng.integers(0, 6 * need, size=int(rng.integers(0, 4 * need)))}
+
+        def point(j, forced=forced, run=run, poles=poles):
+            if j in run:
+                return poles[j % len(poles)]
+            return forced.get(j, real(j))
+        monkeypatch.setattr(baxterize, "_grid_point", point)
+        full, fast = (tuple(map(baxterize._Sampled, fns)) for _ in range(2))
+        bad = (None, math.nan, math.inf)[case % 5 % 3]
+        if bad is not None:
+            at, which = int(rng.integers(0, 2 * need)), int(rng.integers(3))
+            for sampled in (full, fast):
+                sampled[which].upto(2 * need)
+                sampled[which].values[at] = complex(bad, 0.0)
+        want = baxterize._cycle_residual(*full, need)[0] >= baxterize.SOLVER_TOL
+        got = baxterize._cycle_fails(*fast, need)
+        assert got == want, (case, got, want)
+        seen[got] += 1
+        inf_fails += got and tilt == 0.0 and bad == math.inf
+        if bad is None:
+            # reference stop: the failing point, the need-th off-pole point or the cap
+            taken, stop = 0, 200 * need - 1
+            for j in range(200 * need):
+                try:
+                    va, vb, vr = (fn.evaluate(point(j), pole_tol=1e-8) for fn in fns)
+                except PoleError:
+                    continue
+                taken += 1
+                if abs(vb - va * vr) >= baxterize.SOLVER_TOL or taken == need:
+                    stop = j
+                    break
+            assert [len(s.values) for s in fast] == [stop + 1] * 3, case
+            late += got and taken > 1
+    assert min(seen.values()) > 100, seen
+    assert late > 5, late
+    assert inf_fails > 5, inf_fails       # an inf fails a consistent cycle
+
+
 def test_classify_memo_keeps_the_edge_ratios_of_each_rho_apart(monkeypatch):
     # su2_4 with nu_2^{3/2 3/2} flipped: the 0-2 edge of rho = 3/2 then has
     # another twist ratio than the same edge of rho = 1/2
@@ -774,12 +843,19 @@ def test_classify_memo_keeps_the_edge_ratios_of_each_rho_apart(monkeypatch):
         if entry[:3] == [2, 3, 3]:
             entry[3] = -entry[3]
     cat = bx.category_from_json(json.dumps(doc))
-    sols = _recording_solves(monkeypatch)
+    walks = _recording_walks(monkeypatch)
     rows = bx.classify_pairs(cat)
     monkeypatch.undo()
     assert {(r.rho, r.phi) for r in rows} >= {(1, 2), (3, 2)}
-    for row, sol in zip(rows, sols):
-        assert sol.to_dict() == bx.solve_central(cat, row.rho, row.phi).to_dict(), row
+    assert [(g.rho, g.phi) for g, _ in walks] == [(r.rho, r.phi) for r in rows]
+    flipped = 0
+    for graph, funcs in walks:
+        sol = bx.solve_central(cat, graph.rho, graph.phi)
+        assert funcs.keys() == sol.funcs.keys()
+        for ch, fn in funcs.items():
+            assert _same_bits(fn, sol.funcs[ch]), (graph.rho, graph.phi, ch)
+        flipped += graph.rho == 3 and 2 in funcs
+    assert flipped
 
 
 def _so_doc(edit):

@@ -648,7 +648,7 @@ def test_special_values_find_the_literal_worst_tuple_of_a_corruption(cat, key, e
     assert got_where == where and abs(got - want[0]) < 1e-12
 
 
-def test_an_empty_f_table_round_trips_and_fails_only_special_values():
+def test_an_empty_f_table_round_trips_and_fails_every_identity():
     doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
     doc["F"] = []
     text = json.dumps(doc, indent=1)
@@ -656,8 +656,17 @@ def test_an_empty_f_table_round_trips_and_fails_only_special_values():
     assert bx.category_to_json(cat) == text
     assert bx.category_to_json(bx.category_from_json(bx.category_to_json(cat))) == text
     checks = {c.name: c for c in bx.check_f_identities(cat).checks}
-    assert [name for name, c in checks.items() if not c.passed] == ["special_values"]
+    assert [name for name, c in checks.items() if c.passed] == []
     assert checks["special_values"].details == {"worst_tuple": [0, 0, 0, "missing"]}
+    for name in ("pentagon", "rotation", "unitarity"):
+        # nothing was read, so nothing passes
+        assert (checks[name].samples, checks[name].details) == (0, {"detail": "no F entries"})
+        assert checks[name].residual >= checks[name].tolerance
+    # one entry back makes the three read it again
+    doc["F"] = json.loads(bx.category_to_json(bx.build_su2k(2)))["F"][:1]
+    checks = {c.name: c for c in bx.check_f_identities(
+        bx.category_from_json(json.dumps(doc))).checks}
+    assert all(c.samples == 1 and "detail" not in c.details for c in checks.values())
 
 
 def _corrupted(cat, seed, count):
