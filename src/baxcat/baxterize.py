@@ -12,11 +12,12 @@ closing identity against `SOLVER_TOL` on one shared grid of points.  That
 decision fails on long cycles: for ty with rho = X it calls consistent pairs
 INCONSISTENT at every even M >= 18 (ROADMAP item 1, exact amplitudes).
 
-`solve_central` and `classify_pairs` share one walk of the spanning tree and
-one verdict rule.  `solve_central` measures every cycle's residual for its
-report; `classify_pairs` only needs verdicts, so it reads each cycle's grid
-points until the first failing one, skips a pair's other cycles once one
-fails, and builds no solution.  A solver memo keyed by the exact bits of the
+`solve_central` and `classify_pairs` share one walk of the spanning tree, one
+cycle reader (`_cycle_diffs`, the differences at a cycle's grid points, in
+order) and one verdict rule.  `solve_central` takes every difference of each
+cycle for its report; `classify_pairs` only needs verdicts, so it stops at a
+cycle's first failing difference, skips a pair's other cycles once one fails,
+and builds no solution.  A solver memo keyed by the exact bits of the
 twist-edge ratios forms each spin phase, edge ratio and tree product once per
 call, and evaluates each of its entries at most once per grid point.
 """
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 import struct
 
@@ -192,19 +192,14 @@ class _Sampled:
         self.fn, self.values = fn, []
 
     def at(self, j: int):
-        """The value at grid point j."""
+        """The value at grid point j, the value list extended in order."""
         vals = self.values
-        return vals[j] if j < len(vals) else self.upto(j + 1)[j]
-
-    def upto(self, m: int) -> list:
-        """The value list, extended in order to at least m points."""
-        vals = self.values
-        for j in range(len(vals), m):
+        while len(vals) <= j:
             try:
-                vals.append(self.fn.evaluate(_grid_point(j), pole_tol=1e-8))
+                vals.append(self.fn.evaluate(_grid_point(len(vals)), pole_tol=1e-8))
             except PoleError:
                 vals.append(None)
-        return vals
+        return vals[j]
 
 
 class _SolverMemo:
@@ -295,37 +290,19 @@ def _samples_needed(graph: TensorProductGraph) -> int:
     return 2 * max(1, len(graph.edges)) + 1
 
 
-def _cycle_residual(amp_a, amp_b, ratio, need: int):
-    """max |A_b - A_a r| over the first `need` grid points where none of the
-    three `_Sampled` is at a pole, and the number taken; at most 200 * need
-    points are tried, in windows that double from `need`."""
-    cap, window = 200 * need, need
-    while True:
-        rows = zip(amp_a.upto(window), amp_b.upto(window), ratio.upto(window))
-        off = [(va, vb, vr) for va, vb, vr in itertools.islice(rows, window)
-               if va is not None and vb is not None and vr is not None]
-        if len(off) >= need or window == cap:
-            break
-        window = min(2 * window, cap)
-    off = off[:need]
-    return max([0.0] + [abs(vb - va * vr) for va, vb, vr in off]), len(off)
-
-
-def _cycle_fails(amp_a, amp_b, ratio, need: int) -> bool:
-    """`_cycle_residual(...)[0] >= SOLVER_TOL`, read one grid point at a time:
-    the same points in the same order, stopping at the first failing one.  A
-    NaN difference never fails, as `max` passes over it."""
+def _cycle_diffs(amp_a, amp_b, ratio, need: int):
+    """|A_b - A_a r| at the first `need` grid points where none of the three
+    `_Sampled` is at a pole, in grid order; at most 200 * need points are
+    tried.  A caller that stops early reads no point past its last one."""
     taken = 0
     for j in range(200 * need):
         va, vb, vr = amp_a.at(j), amp_b.at(j), ratio.at(j)
         if va is None or vb is None or vr is None:
             continue
-        if abs(vb - va * vr) >= SOLVER_TOL:
-            return True
+        yield abs(vb - va * vr)
         taken += 1
         if taken == need:
-            break
-    return False
+            return
 
 
 def _verdict(inconsistent: bool, components: tuple, n_cycles: int) -> str:
@@ -357,10 +334,11 @@ def solve_central(cat: CategoryData, rho, phi, tree: str = "bfs") -> AmplitudeSo
     need = _samples_needed(graph)
     cycles = []
     for a, b in closing:
-        res, taken = _cycle_residual(amps[a], amps[b], memo.edge(graph.rho, a, b), need)
+        diffs = list(_cycle_diffs(amps[a], amps[b], memo.edge(graph.rho, a, b), need))
         ra, rb = routes[a], routes[b]
         meet = len(set(ra) & set(rb)) - 1          # index of the last shared channel
-        cycles.append(CycleCheck(tuple(sorted({*ra[meet:], *rb[meet:]})), (a, b), res, taken))
+        cycles.append(CycleCheck(tuple(sorted({*ra[meet:], *rb[meet:]})), (a, b),
+                                 max([0.0, *diffs]), len(diffs)))
     verdict = _verdict(any(c.residual >= SOLVER_TOL for c in cycles), components, len(cycles))
     funcs = {v: amp.fn for v, amp in amps.items()}
     return AmplitudeSolution(cat, graph, reference, graph.vertices, funcs, verdict,
@@ -371,8 +349,6 @@ def amplitude_at(solution: AmplitudeSolution, chi, mu) -> complex:
     """A_chi(mu) relative to the reference channel."""
     if chi not in solution.funcs:
         raise DomainError(f"{chi} is not a channel of the solution")
-    if chi == solution.reference:
-        return 1.0 + 0j
     return solution.funcs[chi].evaluate(mu)
 
 
@@ -390,7 +366,8 @@ def classify_pairs(cat: CategoryData):
     """Verdict of solve_central for every simple rho and admissible phi != 0.
 
     The pairs share one `_SolverMemo`; a pair's cycles are read with
-    `_cycle_fails` until one fails, and no `AmplitudeSolution` is built.
+    `_cycle_diffs` up to the first failing difference, and no
+    `AmplitudeSolution` is built.
     """
     if cat.rules is not None:
         pairs = [(rho, phi) for rho in range(cat.n_objects) for phi in range(1, cat.n_objects)
@@ -403,8 +380,8 @@ def classify_pairs(cat: CategoryData):
         graph = build_tp_graph(cat, rho, phi)
         _, _, amps, components, closing = memo.walk(graph, "bfs")
         need = _samples_needed(graph)
-        fails = any(_cycle_fails(amps[a], amps[b], memo.edge(graph.rho, a, b), need)
-                    for a, b in closing)
+        fails = any(d >= SOLVER_TOL for a, b in closing
+                    for d in _cycle_diffs(amps[a], amps[b], memo.edge(graph.rho, a, b), need))
         rows.append(ClassifyRow(graph.rho, graph.phi, _verdict(fails, components, len(closing)),
                                 len(graph.vertices), len(graph.edges), len(closing)))
     return rows

@@ -5,9 +5,11 @@ twist variant A_{k+1}, and the Z_M Tambara-Yamagami clock categories.
 Twist-only families (spins, signs and declared tensor-product adjacency,
 no fusion tensor): so(n)_k, sp(2m)_k, (G_2)_k.
 
-F tables are built on the first F read (`CategoryData.f.flat`, its lookups or
-`.blocks`): solving and classifying use twist data only, so they never pay
-for one, nor for numpy, which only the F builders import.
+F tables are built on the first F read (`CategoryData.f.flat` or its
+lookups): solving and classifying use twist data only, so they never pay for
+one, nor for numpy, which only the F builders import.  The builders
+`su2k_f_blocks` and `ty_f_blocks` return block dicts, which the table's loader
+flattens to its rows.
 
 Each fusion rule is stated once.  su(2)_k and A_{k+1} share one builder,
 `_su2_category`, whose one scan of `sixj.su2_admissible` gives the fusion
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .category import (CategoryData, FSymbolTable, FusionRules, ObjectLabel,
-                       QuantumDims, TwistData, f_blocks, f_rows)
+                       QuantumDims, TwistData, _block_entries, f_blocks, f_rows)
 from .errors import DomainError
 from .record import record
 from .sixj import su2_admissible, su2_qdim, su2k_f_blocks
@@ -61,7 +63,7 @@ def _f_table(blocks: Callable, level: int) -> FSymbolTable:
     """The F table of `blocks(level)`, one per loader and level, so every
     build of a level (su(2)_k and A_{k+1} alike) reads one table, whose
     blocks are flattened once per process."""
-    return FSymbolTable(lambda: blocks(level))
+    return FSymbolTable(lambda: _block_entries(blocks(level)))
 
 
 def _su2_category(name: str, k: int, Delta, sign) -> CategoryData:

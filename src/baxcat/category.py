@@ -8,12 +8,12 @@ su(2) spins are stored as doubled integers and rendered as "1/2", "3/2", ...
 by the display layer.
 
 F-symbols ``[F^{xyz}_w]_{uv}``, where u runs over x*y and v over y*z, are
-stored as one flat sorted index of entries; each (x, y, z, w) is a unitary
-block, which `FSymbolTable.blocks` gives as a matrix.  The two-index symbol
-written ``F_{tt'}[r s; a b]`` is ``[F^{a r s}_b]_{t t'}``.  The tables are
-kept in the gauge where the special-value and rotation identities below hold
-with positive square roots; correctness of a table means passing
-`check_f_identities`, not matching any published gauge.
+stored as one flat sorted index of entries; the entries of each (x, y, z, w)
+form a unitary block.  The two-index symbol written ``F_{tt'}[r s; a b]`` is
+``[F^{a r s}_b]_{t t'}``.  The tables are kept in the gauge where the
+special-value and rotation identities below hold with positive square roots;
+correctness of a table means passing `check_f_identities`, not matching any
+published gauge.
 
 Labels, fusion channels, spins and signs are plain Python data, so solving
 and classifying never load numpy: each function that computes with arrays
@@ -138,35 +138,14 @@ def f_labels(keys):
 
 class FSymbolTable:
     """Sparse storage for [F^{xyz}_w]_{uv}, indexed once as `flat`, which
-    every check and the export read; `blocks` gives the same entries as a
-    dict of block matrices.
+    every check and the export read.
 
-    Takes the blocks themselves or a zero-argument loader returning them; a
-    loader runs on the first read of `blocks` and its result is kept.
-    `from_entries` takes the entries as rows instead, and then derives
-    `blocks` only when it is read.
+    Takes a zero-argument loader returning the (x, y, z, w, u, v) rows, an
+    int64 array, and their values; it runs on the first read of `flat`.
     """
 
-    _rows = None            # (labels, vals) given to `from_entries`
-
-    def __init__(self, blocks):
-        # blocks: {(x,y,z,w): (us tuple, vs tuple, complex matrix)}, or a loader
-        if callable(blocks):
-            self._load = blocks
-        else:
-            self.blocks = blocks
-
-    @classmethod
-    def from_entries(cls, labels, vals) -> "FSymbolTable":
-        """The table of the (x, y, z, w, u, v) rows `labels`, in key order and
-        each block the full product of its us and vs, with values `vals`."""
-        table = cls(lambda: f_blocks(labels, vals))
-        table._rows = labels, vals
-        return table
-
-    @functools.cached_property
-    def blocks(self):
-        return self._load()
+    def __init__(self, load):
+        self._load = load
 
     @functools.cached_property
     def flat(self):
@@ -174,7 +153,7 @@ class FSymbolTable:
         (x, y, z, w, u, v) tuples and their values, closed by a sentinel key
         above all others with value 0."""
         import numpy as np
-        labels, vals = self._rows or _block_entries(self.blocks)
+        labels, vals = self._load()
         vals = vals.astype(complex)
         if labels.size and labels.max() >> _KEY_BITS:
             raise CapabilityError(f"F table labels reach {labels.max()}; "
@@ -837,7 +816,7 @@ def _f_table(rows, vals, n, rules) -> FSymbolTable:
     labels = np.array([row[:6] for row in rows], dtype=np.int64).reshape(-1, 6)
     vals = np.array(vals, dtype=complex)
     if not len(labels):
-        return FSymbolTable({})
+        return FSymbolTable(lambda: (labels, vals))
     order = np.lexsort(labels.T[::-1])
     s = labels[order]
     again = np.flatnonzero(np.all(s[1:] == s[:-1], axis=1))
@@ -871,7 +850,7 @@ def _f_table(rows, vals, n, rules) -> FSymbolTable:
     padded = _block_rows(s[start, :4], ucat % n, nu, vcat % n, nu)
     pvals = np.zeros(len(padded), dtype=complex)
     pvals[pos] = vals[order]
-    return FSymbolTable.from_entries(padded, pvals)
+    return FSymbolTable(lambda: (padded, pvals))
 
 
 def category_from_json(text: str) -> CategoryData:

@@ -2,7 +2,8 @@
 
 Subcommands: `catalog list`, `baxterize`, `classify`, `verify <check>`.
 Exit codes: 0 pass/success, 1 verdict failure, 2 bad input.
-Identical argv and seed produce byte-identical JSON output.
+Identical argv and seed produce byte-identical JSON output; for `verify`, on
+one BLAS kernel, as its dense products may round differently under another.
 """
 
 from __future__ import annotations

@@ -144,6 +144,9 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
         raise CapabilityError(f"{cat.name} has no F-symbols; vertex check needs them")
     _check_consistent(solution, determined=False)   # each edge constrains its own component
     rho, phi = cat.check_label(rho), cat.check_label(phi)
+    if not solution.graph.directed:
+        raise DomainError(f"({cat.display(rho)}, {cat.display(phi)}) has no edge between two "
+                          f"channels: the vertex check would sample nothing")
     phibar = cat.rules.dual[phi]
     d = cat.dims
     rng = np.random.default_rng(seed)
@@ -167,7 +170,7 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
             r = abs(lhs - rhs)
             if r > worst:
                 worst, where = r, (cat.display(a), cat.display(b))
-    rep.add("vertex_divergence", worst, tol, samples=samples * max(1, len(solution.graph.directed)),
+    rep.add("vertex_divergence", worst, tol, samples=samples * len(solution.graph.directed),
             **({"worst_edge": list(where)} if where else {}))
     rep.notes.append(
         "together with the rotation-identity residuals this directly verifies "

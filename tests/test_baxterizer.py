@@ -736,6 +736,12 @@ def _per_point_residual(fns, need, point):
     return res, taken
 
 
+def _residual(diffs):
+    """The residual and point count of a cycle, as solve_central reports them."""
+    diffs = list(diffs)
+    return max([0.0, *diffs]), len(diffs)
+
+
 def test_cycle_residual_skips_pole_points_as_the_per_point_loop(monkeypatch):
     # grid points forced onto a pole of one of the three functions, scattered
     # or in one run, which may end before or after the last of the 200 * need
@@ -765,16 +771,24 @@ def test_cycle_residual_skips_pole_points_as_the_per_point_loop(monkeypatch):
                 return poles[j % len(poles)]
             return forced.get(j, real(j))
         monkeypatch.setattr(baxterize, "_grid_point", point)
-        got = baxterize._cycle_residual(*map(baxterize._Sampled, fns), need)
+        sampled = tuple(map(baxterize._Sampled, fns))
+        got = _residual(baxterize._cycle_diffs(*sampled, need))
         want = _per_point_residual(fns, need, point)
         assert struct.pack("<dq", *got) == struct.pack("<dq", *want), (case, got, want)
+        # evaluation stops at the need-th off-pole point or at the cap
+        off_pole = [j for j in range(len(sampled[0].values))
+                    if all(s.values[j] is not None for s in sampled)]
+        end = off_pole[-1] if len(off_pole) == need else 200 * need - 1
+        assert [len(s.values) for s in sampled] == [end + 1] * 3, case
         short += got[1] < need
     assert short > 20, short
 
 
 def test_cycle_verdict_stops_at_the_first_failing_point_of_the_full_residual(monkeypatch):
     # the harness above, with cycles that fail at some grid points only and
-    # a NaN or an infinite grid value put into some cases
+    # a NaN or an infinite grid value put into some cases; the verdict, as
+    # classify_pairs reads it, stops at the first failing difference and
+    # agrees with the full residual: max passes over a NaN difference
     baxterize = bx.baxterize
     real = baxterize._grid_point
     rng = np.random.default_rng(4)
@@ -808,10 +822,10 @@ def test_cycle_verdict_stops_at_the_first_failing_point_of_the_full_residual(mon
         if bad is not None:
             at, which = int(rng.integers(0, 2 * need)), int(rng.integers(3))
             for sampled in (full, fast):
-                sampled[which].upto(2 * need)
+                sampled[which].at(2 * need - 1)
                 sampled[which].values[at] = complex(bad, 0.0)
-        want = baxterize._cycle_residual(*full, need)[0] >= baxterize.SOLVER_TOL
-        got = baxterize._cycle_fails(*fast, need)
+        want = _residual(baxterize._cycle_diffs(*full, need))[0] >= baxterize.SOLVER_TOL
+        got = any(d >= baxterize.SOLVER_TOL for d in baxterize._cycle_diffs(*fast, need))
         assert got == want, (case, got, want)
         seen[got] += 1
         inf_fails += got and tilt == 0.0 and bad == math.inf

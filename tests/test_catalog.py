@@ -10,10 +10,10 @@ import pytest
 
 import baxcat as bx
 from baxcat.catalog import FAMILIES, _ty_fusion, ty_f_blocks
-from baxcat.category import FSymbolTable
 from baxcat.cli import main
 from baxcat.errors import DomainError
 from baxcat.sixj import _vertex_sign, racah_sixj, su2_admissible, su2_qdim, su2k_f_blocks
+from frows import block_dict, table_of
 
 
 def test_su2_2_data():
@@ -57,7 +57,7 @@ def test_minimal_A_shares_fusion_and_dims():
     mini = bx.build_minimal_A(3)
     assert np.array_equal(su2.rules.N, mini.rules.N)
     assert np.array_equal(su2.dims.d, mini.dims.d)
-    assert su2.f.blocks.keys() == mini.f.blocks.keys()
+    assert block_dict(su2.f).keys() == block_dict(mini.f).keys()
     assert su2.twists.Delta != mini.twists.Delta
 
 
@@ -112,10 +112,10 @@ def test_built_rules_signs_and_dims_match_the_literal_data(family, p):
 def test_cached_f_arrays_are_read_only():
     # the tables are cached per level and shared, so no caller may edit them
     for cat in (bx.build_su2k(4), bx.build_tambara_yamagami(5)):
-        for _, _, mat in cat.f.blocks.values():
+        for arr in cat.f.flat:
             with pytest.raises(ValueError):
-                mat[0, 0] = 2.0
-    assert bx.build_su2k(4).f.blocks is bx.build_minimal_A(4).f.blocks
+                arr[0] = 2
+    assert bx.build_su2k(4).f is bx.build_minimal_A(4).f
 
 
 def test_one_f_table_per_level(monkeypatch):
@@ -127,8 +127,8 @@ def test_one_f_table_per_level(monkeypatch):
     for cat in (bx.build_su2k(6), bx.build_tambara_yamagami(10)):
         cat.f.flat
     calls = []
-    real = bx.category._block_entries
-    monkeypatch.setattr(bx.category, "_block_entries", lambda b: calls.append(b) or real(b))
+    real = bx.catalog._block_entries
+    monkeypatch.setattr(bx.catalog, "_block_entries", lambda b: calls.append(b) or real(b))
     for cat in (bx.build_minimal_A(6), bx.build_su2k(6), bx.build_tambara_yamagami(10)):
         assert cat.f.block_value(0, 0, 0, 0, 0, 0) == 1
         cat.f.flat
@@ -286,7 +286,7 @@ def test_su2_gauge_moves_only_signs(k):
     # Racah-normalised value up to sign, bit for bit
     lab = range(k + 1)
     adm = lambda a, b, c: su2_admissible(a, b, c, k)
-    blocks = bx.build_su2k(k).f.blocks
+    blocks = block_dict(bx.build_su2k(k).f)
     expect = {}
     for x, y, z, w in itertools.product(lab, repeat=4):
         us = tuple(u for u in lab if adm(x, y, u) and adm(u, z, w))
@@ -380,11 +380,11 @@ def test_f_tables_store_no_negative_zero(build, arg):
 
 def test_f_mutation_breaks_pentagon():
     cat = bx.build_su2k(2)
-    blocks = {k: (us, vs, m.copy()) for k, (us, vs, m) in cat.f.blocks.items()}
+    blocks = {k: (us, vs, m.copy()) for k, (us, vs, m) in block_dict(cat.f).items()}
     us, vs, m = blocks[(1, 1, 1, 1)]
     m[0, 0] = -m[0, 0]
     mutated = bx.CategoryData(cat.name, cat.labels, cat.twists, rules=cat.rules,
-                              dims=cat.dims, f=FSymbolTable(blocks))
+                              dims=cat.dims, f=table_of(blocks))
     rep = bx.check_f_identities(mutated)
     pent = rep.check("pentagon")
     assert pent.residual > 0.1

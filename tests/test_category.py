@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import baxcat as bx
-from baxcat.category import (FSymbolTable, FusionRules, _f0_residual, _pentagon_residual,
-                             _phase, _unitarity_residual, _usefulid_residual)
+from baxcat.category import (FusionRules, _f0_residual, _pentagon_residual, _phase,
+                             _unitarity_residual, _usefulid_residual)
 from baxcat.report import fmt_complex
 from baxcat.errors import AxiomError, CapabilityError, DomainError
+from frows import block_dict, table_of
 
 
 def _rules(N, dual):
@@ -293,9 +294,9 @@ def test_json_round_trip(build, arg):
     assert cat2.twists.nu == cat.twists.nu
     assert cat2.rules.dual == cat.rules.dual
     assert np.array_equal(cat2.rules.N, cat.rules.N)
-    for key, us_vs_mat in cat.f.blocks.items():
-        us, vs, mat = us_vs_mat
-        us2, vs2, mat2 = cat2.f.blocks[key]
+    blocks2 = block_dict(cat2.f)
+    for key, (us, vs, mat) in block_dict(cat.f).items():
+        us2, vs2, mat2 = blocks2[key]
         assert us2 == tuple(us) and vs2 == tuple(vs)
         assert np.array_equal(mat2, mat)                  # bit-stable floats
     # second serialisation is byte-identical
@@ -336,13 +337,13 @@ def test_writer_is_json_dumps_with_indent_1(cat):
 
 
 def test_writer_keeps_signed_zeros_and_extreme_values():
-    f = FSymbolTable({(0, 0, 0, 0): ((0, 1), (0, 1), np.array(
+    f = table_of({(0, 0, 0, 0): ((0, 1), (0, 1), np.array(
         [[-0.0 - 0j, 1e-310 + 1e308j], [-2.5e-5 + 0.1j, complex(1 / 3, -0.0)]]))})
     cat = bx.build_su2k(1).replace(f=f)
     text = bx.category_to_json(cat)
     assert json.dumps(json.loads(text), indent=1) == text
     assert [row[6] for row in json.loads(text)["F"]] == [
-        fmt_complex(z) for z in f.blocks[(0, 0, 0, 0)][2].ravel()]
+        fmt_complex(z) for z in block_dict(f)[(0, 0, 0, 0)][2].ravel()]
 
 
 def _edited(edit):
@@ -447,7 +448,7 @@ def test_imported_blocks_are_read_only_and_padded():
     doc = json.loads(bx.category_to_json(bx.build_su2k(2)))
     doc["F"] = [row for row in doc["F"] if row[:6] != [1, 1, 1, 1, 0, 2]]
     f = bx.category_from_json(json.dumps(doc)).f
-    us, vs, mat = f.blocks[(1, 1, 1, 1)]
+    us, vs, mat = block_dict(f)[(1, 1, 1, 1)]
     assert us == (0, 2) and vs == (0, 2) and mat[0, 1] == 0
     assert not mat.flags.writeable
     assert f.block_value(1, 1, 1, 1, 0, 2) == 0
@@ -469,7 +470,6 @@ def test_import_indexes_the_rows_without_a_block_dict(build, arg, monkeypatch):
     assert bx.check_f_identities(back).passed
     for got, want in zip(back.f.flat, cat.f.flat):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert "blocks" not in vars(back.f)
 
 
 @pytest.mark.parametrize("drop, missing", [("d", "quantum dimensions"), ("N", "fusion rules")])
@@ -563,10 +563,11 @@ def literal_special_values(cat):
         v = cat.f.block_value(*labels)
         return 0j if v is None else v
 
+    blocks = block_dict(cat.f)
     out = {}
     for a, r in itertools.product(range(cat.n_objects), repeat=2):
         for b in rules.fusion(a, r):
-            block = cat.f.blocks.get((a, r, 0, b))
+            block = blocks.get((a, r, 0, b))
             if block is None:
                 out[(a, r, b, "missing")] = 1.0
                 continue
@@ -612,11 +613,11 @@ def test_identity_checks_match_the_literal_loops(cat):
 def _with_block(cat, key, edit):
     """cat with F block `key` replaced by edit(us, vs, mat copy), or dropped
     when edit is None."""
-    blocks = dict(cat.f.blocks)
+    blocks = block_dict(cat.f)
     us, vs, mat = blocks.pop(key)
     if edit is not None:
         blocks[key] = edit(us, vs, mat.copy())
-    return cat.replace(f=FSymbolTable(blocks))
+    return cat.replace(f=table_of(blocks))
 
 
 def _scaled(u, v):
@@ -671,14 +672,15 @@ def test_an_empty_f_table_round_trips_and_fails_every_identity():
 
 def _corrupted(cat, seed, count):
     """`count` copies of cat, each with one F entry scaled by 1.5 + 0.25j."""
-    keys = sorted(cat.f.blocks)
+    blocks = block_dict(cat.f)
+    keys = sorted(blocks)
     rng = np.random.default_rng(seed)
     for _ in range(count):
         key = keys[rng.integers(len(keys))]
-        us, vs, mat = cat.f.blocks[key]
+        us, vs, mat = blocks[key]
         mat = mat.copy()
         mat[rng.integers(len(us)), rng.integers(len(vs))] *= 1.5 + 0.25j
-        yield cat.replace(f=FSymbolTable({**cat.f.blocks, key: (us, vs, mat)}))
+        yield cat.replace(f=table_of({**blocks, key: (us, vs, mat)}))
 
 
 @pytest.mark.parametrize("build, arg", [(bx.build_su2k, 4), (bx.build_tambara_yamagami, 5)])
@@ -698,10 +700,10 @@ def test_pentagon_batches_split_inside_one_label_and_match_the_literal_loop(
         build, arg, monkeypatch):
     cat = build(arg)
     rng = np.random.default_rng(5)
-    blocks = dict(cat.f.blocks)
+    blocks = block_dict(cat.f)
     key = sorted(blocks)[rng.integers(len(blocks))]
     us, vs, mat = blocks[key]
-    bad = cat.replace(f=FSymbolTable({**blocks, key: (us, vs, mat * (1.25 - 0.5j))}))
+    bad = cat.replace(f=table_of({**blocks, key: (us, vs, mat * (1.25 - 0.5j))}))
     for table in (cat, bad):
         want = _first_worst(literal_pentagon(table))
         for terms in (3, 40, 1 << 12):
@@ -712,10 +714,11 @@ def test_pentagon_batches_split_inside_one_label_and_match_the_literal_loop(
 def literal_unitarity(f):
     """(max |U U^dagger - 1|, its block) with one product per block, in key
     order; a NaN counts as infinite and the first non-square block as 1."""
-    keys = sorted(f.blocks)
+    blocks = block_dict(f)
+    keys = sorted(blocks)
     res = []
     for key in keys:
-        us, vs, mat = f.blocks[key]
+        us, vs, mat = blocks[key]
         if len(us) != len(vs):
             return 1.0, key
         res.append(np.max(np.abs(mat @ mat.conj().T - np.eye(len(us)))) if len(us) else 0.0)
@@ -733,17 +736,17 @@ def _unitarity_cases():
         for j, bad in enumerate(_corrupted(cat, 3, 3)):
             yield pytest.param(bad.f, id=f"{cat.name}-corrupt{j}")
     for build, arg in ((bx.build_su2k, 2), (bx.build_tambara_yamagami, 3)):
-        f = build(arg).f
-        key = sorted(f.blocks)[5]
-        us, vs, mat = f.blocks[key]
+        blocks = block_dict(build(arg).f)
+        key = sorted(blocks)[5]
+        us, vs, mat = blocks[key]
         mat = mat.copy()
         mat[-1, 0] = math.nan
-        yield pytest.param(FSymbolTable({**f.blocks, key: (us, vs, mat)}), id=f"{key}-nan")
-        key = min(k for k, (us, vs, _) in f.blocks.items() if len(vs) > 1)
-        us, vs, mat = f.blocks[key]
-        yield pytest.param(FSymbolTable({**f.blocks, key: (us[:1], vs, mat[:1])}),
+        yield pytest.param(table_of({**blocks, key: (us, vs, mat)}), id=f"{key}-nan")
+        key = min(k for k, (us, vs, _) in blocks.items() if len(vs) > 1)
+        us, vs, mat = blocks[key]
+        yield pytest.param(table_of({**blocks, key: (us[:1], vs, mat[:1])}),
                            id=f"{key}-non-square")
-    yield pytest.param(FSymbolTable({}), id="empty")
+    yield pytest.param(table_of({}), id="empty")
 
 
 @pytest.mark.parametrize("f", _unitarity_cases())
@@ -753,16 +756,17 @@ def test_unitarity_matches_the_literal_loop_bit_for_bit(f):
 
 
 def test_unitarity_counts_a_non_square_block_as_1():
-    blocks = bx.build_su2k(4).f.blocks
+    blocks = block_dict(bx.build_su2k(4).f)
     key = min(k for k, (us, vs, _) in blocks.items() if len(vs) > 1)
     us, vs, mat = blocks[key]
-    f = FSymbolTable({**blocks, key: (us[:1], vs, mat[:1])})
+    f = table_of({**blocks, key: (us[:1], vs, mat[:1])})
     assert _unitarity_residual(f) == (1.0, key)
 
 
 def test_f_lookups_read_absent_entries_as_missing_or_zero():
     f = bx.build_su2k(2).f
-    us, vs, mat = f.blocks[(1, 1, 1, 1)]
+    blocks = block_dict(f)
+    us, vs, mat = blocks[(1, 1, 1, 1)]
     assert f.block_value(1, 1, 1, 1, us[1], vs[0]) == complex(mat[1, 0])
     assert f.block_value(1, 1, 1, 1, 1, 0) is None          # u = 1/2 not in 1/2 x 1/2
     assert f.block_value(1, 1, 1, 2, 0, 0) is None          # no such block
@@ -775,7 +779,7 @@ def test_f_lookups_read_absent_entries_as_missing_or_zero():
     assert not keys.flags.writeable and not vals.flags.writeable
     assert np.all(keys[1:] > keys[:-1])
     # an unsorted table indexes the same entries
-    shuffled = FSymbolTable(dict(reversed(list(f.blocks.items()))))
+    shuffled = table_of(dict(reversed(list(blocks.items()))))
     assert np.array_equal(shuffled.flat[0], keys) and np.array_equal(shuffled.flat[1], vals)
 
 
@@ -793,13 +797,14 @@ def test_f_lookups_refuse_a_label_outside_the_key_range(bad):
 def test_a_nan_in_f_fails_the_identity_checks():
     cat = bx.build_su2k(2)
     # the sixth entry in key order, [F^{0 1/2 1/2}_1]_{1/2 1}
-    (key, u, v), = [(key, u, v) for key, (us, vs, _) in sorted(cat.f.blocks.items())
+    blocks = block_dict(cat.f)
+    (key, u, v), = [(key, u, v) for key, (us, vs, _) in sorted(blocks.items())
                     for u in us for v in vs][5:6]
-    us, vs, mat = cat.f.blocks[key]
+    us, vs, mat = blocks[key]
     mat = mat.copy()
     mat[us.index(u), vs.index(v)] = math.nan
     bad = bx.CategoryData(cat.name, cat.labels, cat.twists, rules=cat.rules, dims=cat.dims,
-                          f=FSymbolTable({**cat.f.blocks, key: (us, vs, mat)}))
+                          f=table_of({**blocks, key: (us, vs, mat)}))
     rep = bx.check_f_identities(bad)
     for name in ("pentagon", "rotation"):
         check = rep.check(name)

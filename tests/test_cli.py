@@ -10,8 +10,8 @@ import pytest
 
 import baxcat as bx
 import baxcat.catalog
-from baxcat.category import FSymbolTable
 from baxcat.cli import FAMILY_PARAMS, main
+from frows import table_of
 
 
 def run_cli(args):
@@ -110,6 +110,14 @@ UNDERDETERMINED_PAIRS = (
     + [("minimal", "--level", k, rho, phi) for k, rho, phi in ((4, "1", "2"), (6, "3/2", "3"))]
     + [("ty", "--M", M, "X", str(phi)) for M, phis in (
         (4, (2,)), (6, (2, 3, 4)), (8, (2, 4, 6)), (10, (2, 4, 5, 6, 8))) for phi in phis])
+
+
+def test_verify_current_refuses_a_current_with_no_edge():
+    # phi = 0 joins each channel only to itself: no edge, so nothing to sample
+    rc, out, err = run_cli(["--format", "json", "verify", "current", "--family", "su2",
+                            "--level", "3", "--rho", "1/2", "--phi", "0", "--samples", "5"])
+    assert (rc, out) == (2, "")
+    assert "(1/2, 0)" in err and "Traceback" not in err
 
 
 def test_underdetermined_pairs_exit_2_on_the_checks_that_need_a_unique_solution(capsys):
@@ -384,7 +392,7 @@ def test_export_category_builds_f(family, flag, kwarg, value, loader, monkeypatc
                "--export-category", str(path)])
     assert rc == 0 and calls == [value]
     eager = bx.build_family(family, **{kwarg: value}).replace(
-        f=FSymbolTable(real(value)))
+        f=table_of(real(value)))
     assert path.read_text() == bx.category_to_json(eager)
 
 

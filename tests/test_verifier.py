@@ -12,6 +12,7 @@ import baxcat as bx
 import baxcat.verify as verify_mod
 from baxcat.errors import CapabilityError, DomainError
 from baxcat.report import fmt_complex
+from frows import block_dict, table_of
 from baxcat.verify import (cpl_enumerate, cpl_transfer, mu_annulus,
                            perturb_solution, random_solution)
 
@@ -54,6 +55,18 @@ def test_current_vertex_mutation_control():
     rep = bx.verify_current_vertex(cat, 1, 2, bad, samples=10, seed=7)
     assert not rep.passed
     assert rep.max_residual > 1e-4
+
+
+def test_a_perturbed_reference_fails_the_vertex_and_ybe_checks():
+    # the reference channel's amplitude is read from its function like any
+    # other channel's, so scaling it breaks the weights as scaling channel 2 does
+    cat = bx.build_su2k(4)
+    sol = solved(cat, 1, 2)
+    assert sol.reference == 0
+    bad = perturb_solution(sol, 0, 1e-3)
+    for rep in (bx.verify_current_vertex(cat, 1, 2, bad, samples=10, seed=7),
+                bx.verify_ybe(cat, 1, bad, samples=6, seed=13)):
+        assert not rep.passed and rep.max_residual > 1e-5, rep.name
 
 
 def test_current_vertex_needs_f():
@@ -488,14 +501,14 @@ def scale_one_f(cat, rho, factor=1.3 - 0.4j):
     """The category with one entry of a [F^{h rho rho}_{h'}] block scaled, in
     the identity channel's column: the projectors are built from a block
     that is no longer unitary."""
-    blocks = dict(cat.f.blocks)
+    blocks = block_dict(cat.f)
     key = next(key for key, (us, vs, m) in blocks.items()
                if key[1:3] == (rho, rho) and vs[0] == 0 and len(vs) > 1)
     us, vs, m = blocks[key]
     m = m.copy()
     m[0, 0] *= factor
     blocks[key] = (us, vs, m)
-    return cat.replace(f=bx.FSymbolTable(blocks))
+    return cat.replace(f=table_of(blocks))
 
 
 @pytest.mark.parametrize("family, params, rho", [
