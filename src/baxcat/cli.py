@@ -12,6 +12,7 @@ import argparse
 import cmath
 import json
 import math
+import random
 import sys
 
 from .baxterize import INCONSISTENT, amplitude_at, classify_pairs, solve_central
@@ -36,6 +37,17 @@ def _positive(kind):
             raise argparse.ArgumentTypeError(f"expected a finite {kind.__name__} > 0, got {text!r}")
         return val
     return parse
+
+
+def _non_negative_int(text):
+    """argparse type: an int >= 0, as random.Random seeds -n as n."""
+    try:
+        val = int(text)
+    except ValueError:
+        val = -1
+    if val < 0:
+        raise argparse.ArgumentTypeError(f"expected an int >= 0, got {text!r}")
+    return val
 
 
 def _finite_complex(text):
@@ -156,8 +168,6 @@ def _cmd_classify(args):
 
 def _cmd_verify(args):
     # the verifiers compute with arrays, so only this command loads numpy
-    import numpy as np
-
     from .verify import (loop_functional_check, loop_partition_enumeration,
                          loop_partition_transfer, mu_annulus,
                          verify_braid_limits, verify_braid_relations,
@@ -166,7 +176,7 @@ def _cmd_verify(args):
 
     tol = {} if args.tol is None else {"tol": args.tol}
     if args.check == "loop":
-        rng = np.random.default_rng(args.seed)
+        rng = random.Random(args.seed)
         q = args.q
         reports = [loop_functional_check(q, mu, mu2, **tol)
                    for mu, mu2 in zip(mu_annulus(rng, args.samples),
@@ -254,7 +264,7 @@ def build_parser():
         "--phi": {"required": True},
         "--L": {"type": _positive(int), "default": 4, "help": "lattice width (default %(default)s)"},
         "--samples": {"type": _positive(int), "default": 25},
-        "--seed": {"type": int, "default": 0},
+        "--seed": {"type": _non_negative_int, "default": 0},
         "--q": {"type": _finite_complex, "help": "loop-model q",
                 "default": "0.80901699437494742+0.58778525229247314j"},
     }

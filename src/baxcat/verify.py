@@ -6,14 +6,16 @@ The local identities (projector and Temperley-Lieb algebra, braid relations
 and limits, YBE) are checked on the smallest open patch of strands that holds
 them, 2 or 3 strands, each local configuration counted once, so their
 residuals do not depend on L.
-All sampling is seed-reproducible; spectral parameters are drawn from the
-annulus 0.2 < |mu| < 5 with small disks around poles excluded.
+All sampling is seed-reproducible: spectral parameters are drawn by
+`random.Random(seed)`, for a non-negative int seed, from the annulus
+0.2 < |mu| < 5 with small disks around poles excluded.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import random
 import sys
 
 import numpy as np
@@ -37,16 +39,22 @@ def mu_annulus(rng, n, avoid=()):
     avoid = [complex(p) for p in avoid]
     while len(out) < n:
         r = math.exp(rng.uniform(math.log(0.2), math.log(5.0)))
-        mu = r * np.exp(2j * math.pi * rng.uniform())
+        mu = r * cmath.exp(2j * math.pi * rng.random())
         if any(abs(mu - p) < POLE_EXCLUSION for p in avoid):
             continue
-        out.append(complex(mu))
+        out.append(mu)
     return out
 
 
 def _check_samples(samples):
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+
+
+def _check_seed(seed):
+    """random.Random would seed -n as n and hash a non-int, so refuse both."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise DomainError(f"seed must be a non-negative int, got {seed!r}")
 
 
 def _check_consistent(solution, determined=True):
@@ -85,7 +93,7 @@ def _worst_over_pairs(residual, samples, seed, poles):
     """The largest residual(mu, mu') over `samples` seeded annulus pairs, the
     first (mu, mu') that gave it, and how many pairs were redrawn because they
     hit a pole; past 50 * samples redraws the PoleError propagates."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst, at, skipped, done = 0.0, None, 0, 0
     while done < samples:
         mu1, mu2 = mu_annulus(rng, 2, avoid=poles)
@@ -112,12 +120,13 @@ def perturb_solution(solution: AmplitudeSolution, chi, eps) -> AmplitudeSolution
 
 def random_solution(cat: CategoryData, rho, phi, seed=0) -> AmplitudeSolution:
     """Random constant amplitudes on the same graph; YBE negative control."""
+    _check_seed(seed)
     sol = solve_central(cat, rho, phi)
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     funcs = {}
     for ch in sol.channels:
-        z = rng.uniform(0.5, 2.0) * np.exp(2j * math.pi * rng.uniform())
-        funcs[ch] = RationalFunction([complex(z)], [1.0])
+        z = rng.uniform(0.5, 2.0) * cmath.exp(2j * math.pi * rng.random())
+        funcs[ch] = RationalFunction([z], [1.0])
     funcs[sol.reference] = RationalFunction.one()
     return sol.replace(funcs=funcs)
 
@@ -140,6 +149,7 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
     self-dual currents, which is the printed form of the relation.
     """
     _check_samples(samples)
+    _check_seed(seed)
     if not cat.representable:
         raise CapabilityError(f"{cat.name} has no F-symbols; vertex check needs them")
     _check_consistent(solution, determined=False)   # each edge constrains its own component
@@ -149,8 +159,7 @@ def verify_current_vertex(cat: CategoryData, rho, phi, solution: AmplitudeSoluti
                           f"channels: the vertex check would sample nothing")
     phibar = cat.rules.dual[phi]
     d = cat.dims
-    rng = np.random.default_rng(seed)
-    mus = mu_annulus(rng, samples, avoid=solution.poles())
+    mus = mu_annulus(random.Random(seed), samples, avoid=solution.poles())
     rep = VerificationReport(
         "current_vertex",
         params={"category": cat.name, "rho": cat.display(rho), "phi": cat.display(phi)},
@@ -188,6 +197,7 @@ def verify_ybe(cat: CategoryData, rho, solution: AmplitudeSolution, L=3,
     3-strand patch, multiplicative difference form, relative to the left side;
     L sets the stated dimension."""
     _check_samples(samples)
+    _check_seed(seed)
     _check_consistent(solution)
     basis, dim = _patch(cat, rho, L, 3, "YBE")
 
@@ -214,6 +224,7 @@ def verify_commuting_transfer(cat: CategoryData, rho, solution: AmplitudeSolutio
     """Relative commutator of T(mu), T(mu') on the periodic basis, which is
     counted exactly and refused over the dense budget before it is built."""
     _check_samples(samples)
+    _check_seed(seed)
     _check_consistent(solution)
     check_dense(periodic_count(cat, rho, L))
     basis = enumerate_trees(cat, rho, L, PERIODIC)

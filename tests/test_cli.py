@@ -193,6 +193,8 @@ SU2_8_INCONSISTENT = ["--family", "su2", "--level", "8", "--rho", "3/2", "--phi"
     ["verify", "transfer", *SU2_3, "--L", "0"],
     ["verify", "current", *SU2_3, "--samples", "0"],
     ["verify", "current", *SU2_3, "--samples", "-3"],
+    ["verify", "current", *SU2_3, "--seed", "-1"],
+    ["verify", "loop", "--seed", "-5"],
     ["verify", "current", *SU2_3, "--tol", "0"],
     ["verify", "current", *SU2_3, "--tol", "nan"],
     ["verify", "braid", *SU2_3, "--L", "1"],
@@ -201,9 +203,9 @@ SU2_8_INCONSISTENT = ["--family", "su2", "--level", "8", "--rho", "3/2", "--phi"
     ["verify", "projectors", *SU2_3[:-2], "--L", "2000"],
     *(["verify", check, *SU2_8_INCONSISTENT] for check in ("current", "ybe", "transfer", "braid")),
 ], ids=["mu-abc", "mu-nan", "mu-inf", "q-nan", "export-no-dir", "loop-q0", "L0", "samples0",
-        "samples-3", "tol0", "tol-nan", "braid-L1", "braid-L2", "projectors-L1",
-        "projectors-L2000", "inconsistent-current", "inconsistent-ybe", "inconsistent-transfer",
-        "inconsistent-braid"])
+        "samples-3", "seed-neg-current", "seed-neg-loop", "tol0", "tol-nan", "braid-L1",
+        "braid-L2", "projectors-L1", "projectors-L2000", "inconsistent-current",
+        "inconsistent-ybe", "inconsistent-transfer", "inconsistent-braid"])
 def test_bad_input_exits_2(args, tmp_path):
     missing = str(tmp_path / "no-such-dir" / "cat.json")
     rc, _, err = run_cli([a.replace("{missing}", missing) for a in args])
@@ -415,7 +417,8 @@ def test_finite_but_overflowing_mu_and_q_exit_2_naming_them(args, named):
 def test_import_catalog_and_classify_load_no_numpy():
     # an amplitude carries its poles, so baxterize's report solves for none;
     # the records generate no code, so no command loads dataclasses (and the
-    # inspect and ast modules it imports), verify included
+    # inspect and ast modules it imports), verify included; the sampled
+    # checks draw from the standard library, so none loads numpy.random
     argvs = [(["catalog", "list"], 0)] + [
         (["classify", "--family", family, *flags], 0) for family, flags in (
             ("su2", ["--level", "4"]), ("minimal", ["--level", "4"]), ("ty", ["--M", "6"]),
@@ -427,22 +430,24 @@ def test_import_catalog_and_classify_load_no_numpy():
             (["minimal", "--level", "4", "--rho", "1/2", "--phi", "1"], 0),
             (["ty", "--M", "6", "--rho", "X", "--phi", "1"], 0),
             (["su2", "--level", "8", "--rho", "3/2", "--phi", "2"], 1))]
-    verify = (["verify", "current", *SU2_3, "--samples", "3"], 0)
+    verify = [(["verify", check, *VERIFY_BASE[check]], 0)
+              for check in ("current", "ybe", "transfer", "loop")]
     code = (
         "import contextlib, io, sys\n"
         "import baxcat\n"
         "def loaded():\n"
-        "    return 'numpy' in sys.modules, 'dataclasses' in sys.modules\n"
+        "    return tuple(m in sys.modules for m in ('numpy', 'dataclasses', 'numpy.random'))\n"
         "seen = [loaded()]\n"
         "from baxcat.cli import main\n"
-        f"for argv, rc in {[*argvs, verify]!r}:\n"
+        f"for argv, rc in {[*argvs, *verify]!r}:\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert main(argv) == rc, argv\n"
         "    seen.append(loaded())\n"
         "print(seen)\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"{[(False, False)] * (1 + len(argvs)) + [(True, False)]}\n"
+    want = [(False, False, False)] * (1 + len(argvs)) + [(True, False, False)] * len(verify)
+    assert proc.stdout == f"{want}\n"
 
 
 def test_public_names_resolve():

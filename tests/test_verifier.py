@@ -3,6 +3,7 @@ positive checks honest."""
 
 import cmath
 import math
+import random
 import time
 
 import numpy as np
@@ -86,6 +87,20 @@ def test_sampled_checks_refuse_no_samples(samples):
         bx.verify_ybe(cat, 1, sol, samples=samples)
     with pytest.raises(DomainError):
         bx.verify_commuting_transfer(cat, 1, sol, L=4, samples=samples)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0, "3", None])
+def test_sampled_checks_refuse_a_seed_that_is_not_a_non_negative_int(seed):
+    # random.Random seeds -n as n and hashes a non-int, so each would
+    # silently draw another seed's samples
+    cat = bx.build_su2k(3)
+    sol = solved(cat, 1, 2)
+    for check in (lambda: bx.verify_current_vertex(cat, 1, 2, sol, seed=seed),
+                  lambda: bx.verify_ybe(cat, 1, sol, seed=seed),
+                  lambda: bx.verify_commuting_transfer(cat, 1, sol, L=4, seed=seed),
+                  lambda: random_solution(cat, 1, 2, seed=seed)):
+        with pytest.raises(DomainError, match="seed must be a non-negative int"):
+            check()
 
 
 def test_current_vertex_rejects_inconsistent():
@@ -374,7 +389,7 @@ def dense_braid_residuals(cat, rho, L, sol, seed, samples=2):
                                          H, j - 1, j + 2) for j in sites[:-1]),
         "ybe_residual": 0.0,
     }
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     for _ in range(samples):
         mu1, mu2 = mu_annulus(rng, 2, avoid=sol.poles())
         R = {(mu, j): bx.r_op(sol, mu, j, basis).matrix
